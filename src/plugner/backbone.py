@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +59,24 @@ def select_guided_layers(layer_range: LayerRange, depth: int) -> tuple[int, ...]
     return tuple(range(depth - layer_range.k, depth))
 
 
+# The model keys a config file may set, with their types. vocab_size is not
+# among them: the vocabulary fixes it. The guidance LayerRange is spelled
+# flat as guidance_mode / guidance_k.
+MODEL_KEYS: dict[str, type] = {
+    "d_model": int,
+    "n_heads": int,
+    "enc_layers": int,
+    "dec_layers": int,
+    "ffn_dim": int,
+    "max_len": int,
+    "prompt_len": int,
+    "alpha": float,
+    "guidance_mode": str,
+    "guidance_k": int,
+    "activation": str,
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -99,20 +117,10 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "enc_layers": self.enc_layers,
-            "dec_layers": self.dec_layers,
-            "ffn_dim": self.ffn_dim,
-            "max_len": self.max_len,
-            "prompt_len": self.prompt_len,
-            "alpha": self.alpha,
-            "guidance_mode": self.guidance.mode,
-            "guidance_k": self.guidance.k,
-            "activation": self.activation,
-        }
+        """Flat fields: vocab_size plus every key of MODEL_KEYS."""
+        d = {"vocab_size": self.vocab_size, "guidance_mode": self.guidance.mode, "guidance_k": self.guidance.k}
+        d.update((key, getattr(self, key)) for key in MODEL_KEYS if key not in d)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -239,16 +247,12 @@ class Backbone:
         return self._params[name]
 
     def iter_params(self) -> dict[str, Parameter]:
-        """Backbone weights by name (guidance excluded)."""
+        """Backbone weights by name (guidance excluded): what guidance-only tuning keeps frozen."""
         return dict(self._params)
 
     def parameters(self) -> list[Parameter]:
         """Backbone parameters followed by guidance parameters."""
         return list(self._params.values()) + self.guidance.parameters()
-
-    def backbone_parameters(self) -> list[Parameter]:
-        """Everything that stays frozen during guidance-only tuning."""
-        return list(self._params.values())
 
     # -- attention ----------------------------------------------------------
 
@@ -380,11 +384,3 @@ class Backbone:
         states = self.decode_states(h_en, dec_inputs)
         return T.slice_rows(states, states.data.shape[0] - 1, states.data.shape[0])
 
-
-def iter_named(params: Iterable[Parameter]) -> dict[str, Parameter]:
-    """Index parameters by name, asserting uniqueness."""
-    out: dict[str, Parameter] = {}
-    for p in params:
-        assert p.name not in out, f"duplicate parameter name {p.name}"
-        out[p.name] = p
-    return out

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .backbone import Backbone, LayerRange, ModelConfig
+from .backbone import MODEL_KEYS, Backbone, ModelConfig
 from .data import (
     BUILTIN_DOMAINS,
     Corpus,
@@ -29,6 +30,7 @@ from .evaluate import append_csv_row, config_digest, evaluate, read_predictions,
 from .head import NerModel, Verbalizer
 from .persist import (
     apply_prompt,
+    check_config_compatible,
     load_checkpoint,
     load_prompt,
     mix_prompts,
@@ -46,42 +48,24 @@ from .training import (
     tune_guidance,
 )
 
-MODEL_KEYS = (
-    "d_model",
-    "n_heads",
-    "enc_layers",
-    "dec_layers",
-    "ffn_dim",
-    "max_len",
-    "prompt_len",
-    "alpha",
-    "guidance_mode",
-    "guidance_k",
-    "activation",
-)
-TRAIN_KEYS = (
-    "peak_lr",
-    "epochs",
-    "total_steps",
-    "batch_size",
-    "weight_decay",
-    "clip_norm",
-    "warmup_fraction",
-    "eval_every",
-    "f1_target",
-)
-
-_INT_KEYS = {
-    "d_model", "n_heads", "enc_layers", "dec_layers", "ffn_dim", "max_len",
-    "prompt_len", "guidance_k", "epochs", "total_steps", "batch_size", "eval_every",
+TRAIN_KEYS: dict[str, type] = {
+    "peak_lr": float,
+    "epochs": int,
+    "total_steps": int,
+    "batch_size": int,
+    "weight_decay": float,
+    "clip_norm": float,
+    "warmup_fraction": float,
+    "eval_every": int,
+    "f1_target": float,
 }
-_FLOAT_KEYS = {"alpha", "peak_lr", "weight_decay", "clip_norm", "warmup_fraction", "f1_target"}
+_KEY_TYPES = {**MODEL_KEYS, **TRAIN_KEYS}
+_OPTIMIZER_KEYS = ("peak_lr", "batch_size", "weight_decay", "clip_norm", "warmup_fraction")
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse key=value lines; '#' starts a comment, blank lines are fine."""
     out: dict[str, str] = {}
-    known = set(MODEL_KEYS) | set(TRAIN_KEYS)
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,7 +74,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value
     return out
@@ -98,13 +82,9 @@ def read_config_file(path: str | Path) -> dict[str, str]:
 
 def _coerce(key: str, value: str):
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return _KEY_TYPES[key](value)
     except ValueError:
         raise UsageError(f"config key {key}={value!r} is not a valid number") from None
-    return value
 
 
 def load_config(path: str | None) -> dict:
@@ -113,43 +93,48 @@ def load_config(path: str | None) -> dict:
     return {k: _coerce(k, v) for k, v in read_config_file(path).items()}
 
 
-def model_config_from(cfg: dict, vocab_size: int) -> ModelConfig:
-    fields = {k: cfg[k] for k in MODEL_KEYS if k in cfg and k not in ("guidance_mode", "guidance_k")}
-    guidance = LayerRange(mode=cfg.get("guidance_mode", "all"), k=cfg.get("guidance_k", 0))
-    return ModelConfig(vocab_size=vocab_size, guidance=guidance, **fields)
+@contextmanager
+def _invalid_is_usage_error(path: str | None):
+    """Config objects validate their own fields; a value they reject is a usage error naming the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
-def optimizer_config_from(cfg: dict, n_sentences: int, default_epochs: int, default_lr: float) -> OptimizerConfig:
-    batch = cfg.get("batch_size", 8)
-    steps = cfg.get("total_steps") or steps_for_epochs(n_sentences, cfg.get("epochs", default_epochs), batch)
-    return OptimizerConfig(
-        peak_lr=cfg.get("peak_lr", default_lr),
-        total_steps=steps,
-        warmup_fraction=cfg.get("warmup_fraction", 0.10),
-        weight_decay=cfg.get("weight_decay", 0.01),
-        clip_norm=cfg.get("clip_norm", 1.0),
-        batch_size=batch,
+def model_config_from(cfg: dict, path: str | None, base: dict) -> ModelConfig:
+    """The file's model keys laid over ``base``: a stored config's dict, or just its vocab_size."""
+    with _invalid_is_usage_error(path):
+        return ModelConfig.from_dict({**base, **{k: v for k, v in cfg.items() if k in MODEL_KEYS}})
+
+
+def optimizer_config_from(
+    cfg: dict, path: str | None, n_sentences: int, default_epochs: int, default_lr: float
+) -> OptimizerConfig:
+    """The file's optimizer keys; every key it leaves out keeps OptimizerConfig's default."""
+    with _invalid_is_usage_error(path):
+        config = OptimizerConfig(**{"peak_lr": default_lr, **{k: cfg[k] for k in _OPTIMIZER_KEYS if k in cfg}})
+        epochs = cfg.get("epochs", default_epochs)
+        steps = cfg.get("total_steps") or steps_for_epochs(n_sentences, epochs, config.batch_size)
+        return replace(config, total_steps=steps)
+
+
+def _load_checked_checkpoint(args, cfg: dict) -> tuple[NerModel, dict]:
+    """Load --checkpoint and refuse a --config whose model keys disagree with it."""
+    model, meta = load_checkpoint(args.checkpoint)
+    stored = model.config
+    check_config_compatible(
+        stored, model_config_from(cfg, args.config, stored.to_dict()),
+        context=f"{args.config}: checkpoint {args.checkpoint}",
     )
-
-
-def _check_model_keys_match(cfg: dict, config: ModelConfig) -> None:
-    from .errors import FieldMismatchError
-
-    stored = config.to_dict()
-    diffs = [
-        f"{key}: config file says {cfg[key]!r}, checkpoint has {stored[key]!r}"
-        for key in MODEL_KEYS
-        if key in cfg and cfg[key] != stored[key]
-    ]
-    if diffs:
-        raise FieldMismatchError("config file conflicts with checkpoint: " + "; ".join(diffs))
+    return model, meta
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_gen_synth(args) -> int:
+def cmd_gen_synth(args, cfg: dict) -> int:
     if bool(args.domain) == bool(args.spec):
         raise UsageError("gen-synth needs exactly one of --domain or --spec")
     if args.domain:
@@ -171,8 +156,7 @@ def _load_corpus(path: str, what: str) -> Corpus:
     return corpus
 
 
-def cmd_pretrain(args) -> int:
-    cfg = load_config(args.config)
+def cmd_pretrain(args, cfg: dict) -> int:
     train = _load_corpus(args.train, "the training corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
     extras = [_load_corpus(p, p) for p in args.vocab_extra]
@@ -180,10 +164,10 @@ def cmd_pretrain(args) -> int:
     label_sets = [c.label_set for c in [train, *extras]]
     vocab = Vocab.build(token_sources, label_sets)
 
-    config = model_config_from(cfg, len(vocab))
+    config = model_config_from(cfg, args.config, {"vocab_size": len(vocab)})
     backbone = Backbone(config, seed=args.seed)
     model = NerModel(backbone, vocab, Verbalizer(train.label_set, vocab, backbone.param("embed.tokens")))
-    opt_cfg = optimizer_config_from(cfg, len(train), default_epochs=200, default_lr=3e-3)
+    opt_cfg = optimizer_config_from(cfg, args.config, len(train), default_epochs=200, default_lr=3e-3)
     result = pretrain_backbone(
         model, train, dev, opt_cfg,
         seed=args.seed,
@@ -201,13 +185,11 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def cmd_tune(args) -> int:
-    cfg = load_config(args.config)
-    model, meta = load_checkpoint(args.checkpoint)
-    _check_model_keys_match(cfg, model.config)
+def cmd_tune(args, cfg: dict) -> int:
+    model, meta = _load_checked_checkpoint(args, cfg)
     train = _load_corpus(args.train, "the tuning corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
-    opt_cfg = optimizer_config_from(cfg, len(train), default_epochs=300, default_lr=1e-2)
+    opt_cfg = optimizer_config_from(cfg, args.config, len(train), default_epochs=300, default_lr=1e-2)
     result = tune_guidance(
         model, train, dev, opt_cfg,
         seed=args.seed,
@@ -230,18 +212,21 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def cmd_decode(args) -> int:
-    model, _ = load_checkpoint(args.checkpoint)
+def cmd_decode(args, cfg: dict) -> int:
+    model, _ = _load_checked_checkpoint(args, cfg)
     if args.prompt:
         apply_prompt(model, load_prompt(args.prompt))
     corpus = _load_corpus(args.input, "the input corpus")
     predictions, malformed = decode_corpus(model, corpus)
     write_predictions(args.out, corpus.sentences, predictions, malformed)
     print(f"decoded {len(corpus)} sentences to {args.out} ({sum(malformed)} malformed fragments skipped)")
+    overlong = sum(len(s.tokens) > model.config.max_len for s in corpus.sentences)
+    if overlong:
+        print(f"warning: {overlong} sentences longer than max_len {model.config.max_len} were left unlabelled")
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: dict) -> int:
     gold = _load_corpus(args.gold, "the gold corpus")
     predictions, malformed = read_predictions(args.pred)
     report = evaluate(gold, predictions, malformed_outputs=malformed, seed=args.seed)
@@ -254,7 +239,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, cfg: dict) -> int:
     corpus = _load_corpus(args.input, "the corpus")
     result = few_shot_sample(corpus, SamplerConfig(k=args.k, seed=args.seed))
     write_column_file(args.out, result.corpus)
@@ -265,14 +250,14 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_mix_prompts(args) -> int:
+def cmd_mix_prompts(args, cfg: dict) -> int:
     mixed = mix_prompts([load_prompt(p) for p in args.prompts])
     save_prompt(args.out, mixed)
     print(f"mixed {len(args.prompts)} prompts over categories {list(mixed.categories)} -> {args.out}")
     return 0
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, cfg: dict) -> int:
     report = guidance_gradcheck(seed=args.seed, h=args.h, tol=args.tol)
     print(report.summary())
     for name in sorted(report.per_param):
@@ -284,7 +269,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def cmd_param_report(args) -> int:
+def cmd_param_report(args, cfg: dict) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise UsageError("param-report needs exactly one of --checkpoint or --config")
     if args.checkpoint:
@@ -292,9 +277,8 @@ def cmd_param_report(args) -> int:
     else:
         from .data import vocab_for_domains
 
-        cfg = load_config(args.config)
         vocab = vocab_for_domains(BUILTIN_DOMAINS.values())
-        config = model_config_from(cfg, len(vocab))
+        config = model_config_from(cfg, args.config, {"vocab_size": len(vocab)})
         backbone = Backbone(config, seed=args.seed)
         model = NerModel(backbone, vocab,
                          Verbalizer(("color", "animal"), vocab, backbone.param("embed.tokens")))
@@ -404,8 +388,7 @@ def main(argv=None) -> int:
     try:
         # a bad --config file is a usage error for every command, even the
         # ones that only consume a few of its keys
-        load_config(args.config)
-        return int(args.func(args) or 0)
+        return int(args.func(args, load_config(args.config)) or 0)
     except UsageError as exc:
         print(f"USAGE: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -284,13 +284,8 @@ class SampleResult:
     counts: dict[str, int]
     shortfall: dict[str, int]
     discarded: int
+    indices: tuple[int, ...]  # positions of the kept sentences in the source corpus
     unsatisfiable: tuple[str, ...] = ()
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self._indices
-
-    _indices: tuple[int, ...] = ()
 
 
 def few_shot_sample(corpus: Corpus, config: SamplerConfig) -> SampleResult:
@@ -346,15 +341,14 @@ def few_shot_sample(corpus: Corpus, config: SamplerConfig) -> SampleResult:
         name=f"{corpus.name}-k{k}" if corpus.name else f"k{k}",
     )
     shortfall = {t: k - counts[t] for t in corpus.label_set if counts[t] < k}
-    result = SampleResult(
+    return SampleResult(
         corpus=sub,
         counts={t: counts[t] for t in corpus.label_set},
         shortfall=shortfall,
         discarded=len(discarded),
+        indices=tuple(chosen),
         unsatisfiable=unsatisfiable,
     )
-    result._indices = tuple(chosen)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,13 @@ def greedy_decode(
 ) -> DecodeResult:
     """Argmax decoding until eos or the step budget (default 3n + 1) runs out.
 
-    The returned sequence includes the terminating 0 when decoding
+    The budget never exceeds max_len, the most positions the decoder
+    takes. The returned sequence includes the terminating 0 when decoding
     stopped naturally; ``truncated`` is set when the budget ran out first.
     """
     verbalizer = verbalizer or model.verbalizer
     n = len(token_ids)
-    budget = max_steps if max_steps is not None else 3 * n + 1
+    budget = min(max_steps if max_steps is not None else 3 * n + 1, model.config.max_len)
     alpha = model.config.alpha
     h_en = model.backbone.encode(token_ids)
     e_seq = model.backbone.embed_tokens(token_ids)

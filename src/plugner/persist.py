@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .backbone import Backbone, ModelConfig
-from .data import Vocab, build_verbalizer_mapping
+from .data import Vocab
 from .errors import ChecksumError, FieldMismatchError, FormatError, VersionError
 from .head import LcHead, NerModel, Verbalizer
 
@@ -85,13 +85,15 @@ def _read_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
     return header["meta"], arrays
 
 
-def _diff_fields(expected: Mapping, actual: Mapping) -> list[str]:
-    diffs = []
-    for key in sorted(set(expected) | set(actual)):
-        a, b = expected.get(key), actual.get(key)
-        if a != b:
-            diffs.append(f"{key}: expected {a!r}, found {b!r}")
-    return diffs
+def check_fields(what: str, expected: Mapping, found: Mapping) -> None:
+    """The one compatibility rule: raise FieldMismatchError naming every field that differs."""
+    diffs = [
+        f"{key}: expected {expected.get(key)!r}, found {found.get(key)!r}"
+        for key in sorted(set(expected) | set(found))
+        if expected.get(key) != found.get(key)
+    ]
+    if diffs:
+        raise FieldMismatchError(f"{what}: " + "; ".join(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +128,11 @@ def load_checkpoint(path: str | Path) -> tuple[NerModel, dict]:
         mapping={c: tuple(w) for c, w in meta["mapping"].items()},
     )
     model = NerModel(backbone, vocab, verbalizer)
-    expected = {p.name: tuple(p.value.data.shape) for p in model.parameters()}
-    stored = {name: tuple(arr.shape) for name, arr in arrays.items()}
-    diffs = _diff_fields(expected, stored)
-    if diffs:
-        raise FieldMismatchError(
-            f"{path}: stored parameters do not fit the stored config: " + "; ".join(diffs)
-        )
+    check_fields(
+        f"{path}: stored parameters do not fit the stored config",
+        {p.name: tuple(p.value.data.shape) for p in model.parameters()},
+        {name: tuple(arr.shape) for name, arr in arrays.items()},
+    )
     for p in model.parameters():
         p.value.data = arrays[p.name].copy()
         p.value.grad = None
@@ -140,15 +140,13 @@ def load_checkpoint(path: str | Path) -> tuple[NerModel, dict]:
 
 
 def check_config_compatible(expected: ModelConfig, found: ModelConfig, context: str = "checkpoint") -> None:
-    diffs = _diff_fields(expected.to_dict(), found.to_dict())
-    if diffs:
-        raise FieldMismatchError(f"{context} config mismatch: " + "; ".join(diffs))
+    check_fields(f"{context} config mismatch", expected.to_dict(), found.to_dict())
 
 
 def backbone_hash(model: NerModel) -> str:
     """SHA-256 over the frozen section: every non-guidance, non-verbalizer array."""
     digest = hashlib.sha256()
-    params = {p.name: p for p in model.backbone.backbone_parameters()}
+    params = model.backbone.iter_params()
     for name in sorted(params):
         digest.update(name.encode("utf-8"))
         digest.update(np.ascontiguousarray(params[name].value.data, dtype="<f8").tobytes())
@@ -157,6 +155,15 @@ def backbone_hash(model: NerModel) -> str:
 
 # ---------------------------------------------------------------------------
 # prompt files
+
+
+def prompt_signature(d_model: int, prompt_len: int, guided_layers: Mapping[str, Sequence[int]]) -> dict:
+    """What a prompt and a model (or two prompts) must share for guidance to plug in."""
+    return {
+        "d_model": d_model,
+        "prompt_len": prompt_len,
+        "guided_layers": {k: list(v) for k, v in sorted(guided_layers.items())},
+    }
 
 
 @dataclass
@@ -172,11 +179,12 @@ class PromptFile:
     phi: dict[str, np.ndarray]  # "encoder.layer0.phi_k" -> (|P|, d)
     raw: dict[str, np.ndarray]  # category -> (1, n_words)
 
+    def signature(self) -> dict:
+        return prompt_signature(self.d_model, self.prompt_len, self.guided_layers)
+
     def header(self) -> dict:
         return {
-            "d_model": self.d_model,
-            "prompt_len": self.prompt_len,
-            "guided_layers": {k: list(v) for k, v in sorted(self.guided_layers.items())},
+            **self.signature(),
             "categories": list(self.categories),
             "beta_policy": self.beta_policy,
             "mapping": {c: list(w) for c, w in sorted(self.mapping.items())},
@@ -231,22 +239,10 @@ def load_prompt(path: str | Path) -> PromptFile:
 def apply_prompt(model: NerModel, prompt: PromptFile) -> Verbalizer:
     """Install a prompt file's guidance and verbalizer into a model."""
     cfg = model.config
-    expected = {
-        "d_model": cfg.d_model,
-        "prompt_len": cfg.prompt_len,
-        "guided_layers": {k: list(v) for k, v in model.backbone.guidance.guided.items()},
-    }
-    found = {
-        "d_model": prompt.d_model,
-        "prompt_len": prompt.prompt_len,
-        "guided_layers": {k: list(v) for k, v in sorted(prompt.guided_layers.items())},
-    }
-    diffs = _diff_fields(expected, found)
-    if diffs:
-        raise FieldMismatchError("prompt does not fit this model: " + "; ".join(diffs))
-    model.backbone.guidance.set_values(
-        {f"guidance.{name.rsplit('.phi_', 1)[0]}.phi_{name.rsplit('.phi_', 1)[1]}": arr
-         for name, arr in prompt.phi.items()}
+    check_fields(
+        "prompt does not fit this model",
+        prompt_signature(cfg.d_model, cfg.prompt_len, model.backbone.guidance.guided),
+        prompt.signature(),
     )
     verbalizer = Verbalizer(
         prompt.categories,
@@ -255,15 +251,14 @@ def apply_prompt(model: NerModel, prompt: PromptFile) -> Verbalizer:
         policy=prompt.beta_policy,
         mapping=dict(prompt.mapping),
     )
+    check_fields(
+        "verbalizer raw weight shapes: label-word mapping vs stored",
+        {cat: verbalizer.raw_weights(cat).value.data.shape for cat in verbalizer.categories},
+        {cat: arr.shape for cat, arr in prompt.raw.items()},
+    )
+    model.backbone.guidance.set_values({f"guidance.{name}": arr for name, arr in prompt.phi.items()})
     for cat in verbalizer.categories:
-        stored = prompt.raw[cat]
-        slot = verbalizer.raw_weights(cat)
-        if slot.value.data.shape != stored.shape:
-            raise FieldMismatchError(
-                f"verbalizer raw weights for {cat!r}: stored shape {stored.shape} "
-                f"does not match mapping shape {slot.value.data.shape}"
-            )
-        slot.value.data = stored.copy()
+        verbalizer.raw_weights(cat).value.data = prompt.raw[cat].copy()
     model.verbalizer = verbalizer
     return verbalizer
 
@@ -280,20 +275,7 @@ def mix_prompts(prompts: Sequence[PromptFile]) -> PromptFile:
         raise ValueError("mix_prompts needs at least one prompt")
     first = prompts[0]
     for other in prompts[1:]:
-        diffs = _diff_fields(
-            {
-                "d_model": first.d_model,
-                "prompt_len": first.prompt_len,
-                "guided_layers": {k: list(v) for k, v in sorted(first.guided_layers.items())},
-            },
-            {
-                "d_model": other.d_model,
-                "prompt_len": other.prompt_len,
-                "guided_layers": {k: list(v) for k, v in sorted(other.guided_layers.items())},
-            },
-        )
-        if diffs:
-            raise FieldMismatchError("prompts are not mixable: " + "; ".join(diffs))
+        check_fields("prompts are not mixable", first.signature(), other.signature())
         if set(other.phi) != set(first.phi):
             raise FieldMismatchError("prompts are not mixable: guidance slot sets differ")
 

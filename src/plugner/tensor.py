@@ -36,10 +36,6 @@ LN_EPS = 1e-5
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
-# When True, every op asserts its output is finite. Cheap insurance for
-# tests; off by default so training loops stay fast.
-CHECK_FINITE = False
-
 
 class Tensor:
     """A float64 array plus a gradient slot."""
@@ -151,8 +147,6 @@ def record() -> Iterator[Tape]:
 
 def _emit(out_data: np.ndarray, pull: Callable[[np.ndarray], None] | None) -> Tensor:
     out = Tensor(out_data)
-    if CHECK_FINITE and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("op produced a non-finite value")
     if _ACTIVE is not None and pull is not None:
         _ACTIVE._append(out, pull)
     return out
@@ -415,26 +409,6 @@ def reduce_sum(x: Tensor) -> Tensor:
         x._bump(np.full(shape, float(g)))
 
     return _emit(np.asarray(x.data.sum()), pull)
-
-
-PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "scale": scale,
-    "softmax_rows": softmax_rows,
-    "log_softmax_rows": log_softmax_rows,
-    "layer_norm": layer_norm,
-    "gather_rows": gather_rows,
-    "concat": concat,
-    "slice_rows": slice_rows,
-    "slice_cols": slice_cols,
-    "transpose": transpose,
-    "gelu": gelu,
-    "tanh": tanh_act,
-    "masked_fill": masked_fill,
-    "reduce_sum": reduce_sum,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ from .tensor import Parameter, Tensor, record
 
 TRAINING_MODES = ("full", "guidance_only")
 
-PRETRAIN_EPOCH_CAP = 200
-TUNE_EPOCH_CAP = 300
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -250,10 +247,18 @@ def gold_indices(model: NerModel, sentence) -> tuple[list[int], list[int]]:
 
 
 def decode_corpus(model: NerModel, corpus: Corpus) -> tuple[list[list], list[int]]:
-    """Greedy-decode every sentence; returns span lists and per-sentence malformed counts."""
+    """Greedy-decode every sentence; returns span lists and per-sentence malformed counts.
+
+    A sentence longer than max_len cannot be encoded; it gets an empty
+    prediction and the rest of the corpus is still decoded.
+    """
     predictions = []
     malformed = []
     for sent in corpus.sentences:
+        if len(sent.tokens) > model.config.max_len:
+            predictions.append([])
+            malformed.append(0)
+            continue
         result = greedy_decode(model, model.vocab.encode(sent.tokens))
         parse = spans_from_indices(
             result.indices, len(sent.tokens), model.verbalizer.categories
@@ -424,7 +429,6 @@ def train_lc_head(model: NerModel, head, corpus: Corpus, steps: int = 50, lr: fl
     shape coupling of a classifier head, not to compete on F1.
     """
     from .data import spans_to_bio
-    from .head import lc_baseline_logits
 
     tag_index = {t: i for i, t in enumerate(head.tags)}
     encoded = []

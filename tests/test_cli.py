@@ -29,6 +29,15 @@ def tiny_cfg(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def tiny_ckpt(tmp_path, tiny_cfg):
+    corpus = tmp_path / "src.bio"
+    assert main(["gen-synth", "--domain", "source", "--n", "8", "--seed", "1", "--out", str(corpus)]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["pretrain", "--train", str(corpus), "--out", str(ckpt), "--config", tiny_cfg]) == 0
+    return ckpt, corpus
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     err = capsys.readouterr().err
@@ -78,6 +87,57 @@ def test_config_with_bad_number_is_rejected(tmp_path, capsys):
                  "--config", str(cfg)])
     assert code == 1
     assert "d_model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, detail", [
+    ("pretrain", "n_heads = 3\nd_model = 8\n", "n_heads (3)"),
+    ("pretrain", "guidance_mode = sideways\n", "'sideways'"),
+    ("tune", "peak_lr = -1\n", "peak_lr must be positive"),
+], ids=["n_heads", "guidance_mode", "peak_lr"])
+def test_config_with_invalid_value_is_rejected(tmp_path, capsys, tiny_ckpt, command, text, detail):
+    ckpt, corpus = tiny_ckpt
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    argv = {
+        "pretrain": ["pretrain", "--train", str(corpus), "--out", str(tmp_path / "new.ckpt")],
+        "tune": ["tune", "--checkpoint", str(ckpt), "--train", str(corpus),
+                 "--out-prompt", str(tmp_path / "task.prompt")],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("USAGE:")
+    assert "bad.cfg" in lines[0] and detail in lines[0]
+
+
+def test_tune_and_decode_refuse_a_config_that_conflicts_with_the_checkpoint(tmp_path, capsys, tiny_ckpt):
+    ckpt, corpus = tiny_ckpt
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(TINY_CFG.replace("ffn_dim = 16", "ffn_dim = 32"))
+    for argv in (
+        ["tune", "--checkpoint", str(ckpt), "--train", str(corpus), "--out-prompt", str(tmp_path / "t.prompt")],
+        ["decode", "--checkpoint", str(ckpt), "--input", str(corpus), "--out", str(tmp_path / "p.jsonl")],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("CONFIG_MISMATCH:")
+        assert "ffn_dim: expected 16, found 32" in lines[0]
+
+
+def test_decode_leaves_overlong_sentences_unlabelled(tmp_path, capsys, tiny_ckpt):
+    ckpt, corpus = tiny_ckpt
+    mixed = tmp_path / "mixed.bio"
+    mixed.write_text(corpus.read_text().rstrip("\n") + "\n\n" + "the O\n" * 33)  # max_len is 32
+    pred = tmp_path / "pred.jsonl"
+    capsys.readouterr()
+    assert main(["decode", "--checkpoint", str(ckpt), "--input", str(mixed), "--out", str(pred)]) == 0
+    assert "1 sentences longer than max_len 32 were left unlabelled" in capsys.readouterr().out
+    rows = [json.loads(line) for line in pred.read_text().splitlines()]
+    assert len(rows) == 9
+    assert rows[-1]["spans"] == [] and len(rows[-1]["tokens"]) == 33
 
 
 def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):

@@ -307,6 +307,21 @@ def test_greedy_decode_is_deterministic(model):
     assert all(0 <= y <= space.n + space.m for y in first.indices)
 
 
+def test_default_budget_stops_at_max_len(vocab):
+    # an untrained desk model never emits eos; 3n + 1 = 49 steps would need
+    # 49 decoder positions, one more than max_len allows
+    config = ModelConfig(vocab_size=len(vocab), d_model=64, n_heads=4, enc_layers=2,
+                         dec_layers=2, ffn_dim=128, max_len=48, prompt_len=16)
+    backbone = Backbone(config, seed=0)
+    desk = NerModel(backbone, vocab, Verbalizer(LABELS, vocab, backbone.param("embed.tokens")))
+    sentence = "the red fox near a blue door one owl near the iron lamp a tree fruit".split()
+    assert len(sentence) == 16
+    result = greedy_decode(desk, vocab.encode(sentence))
+    assert result.truncated
+    assert len(result.indices) == 48
+    assert 0 not in result.indices
+
+
 def test_greedy_decode_budget_truncates(model):
     token_ids = model.vocab.encode("red fox near the door".split())
     result = greedy_decode(model, token_ids, max_steps=2)

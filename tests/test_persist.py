@@ -231,10 +231,14 @@ def test_apply_prompt_rejects_architecture_mismatch():
 def test_apply_prompt_rejects_raw_width_mismatch():
     donor = build_model(seed=1)
     host = build_model(seed=2)
+    before = {p.name: p.value.data.copy() for p in host.parameters()}
     prompt = prompt_from_model(donor)
     prompt.raw["color"] = np.zeros((1, 3))
     with pytest.raises(FieldMismatchError, match="color"):
         apply_prompt(host, prompt)
+    # a refused prompt leaves the model as it was
+    for p in host.parameters():
+        np.testing.assert_array_equal(p.value.data, before[p.name])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plugner.backbone import Backbone, LayerRange, ModelConfig
-from plugner.data import Corpus, DomainSpec, synthetic_corpus, vocab_for_domains
+from plugner.data import AnnotatedSentence, Corpus, DomainSpec, synthetic_corpus, vocab_for_domains
 from plugner.errors import DivergedError
 from plugner.head import LcHead, NerModel, Verbalizer, lc_baseline_logits
 from plugner.persist import backbone_hash
@@ -43,7 +43,7 @@ PROBE = DomainSpec(
 )
 
 
-def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None):
+def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None, max_len=32):
     vocab = vocab_for_domains([PROBE])
     config = ModelConfig(
         vocab_size=len(vocab),
@@ -52,7 +52,7 @@ def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None):
         enc_layers=layers,
         dec_layers=layers,
         ffn_dim=2 * d_model,
-        max_len=32,
+        max_len=max_len,
         prompt_len=prompt_len,
         guidance=guided if guided is not None else LayerRange("all"),
     )
@@ -354,6 +354,17 @@ def test_decode_corpus_reports_malformed_per_sentence():
     assert len(predictions) == len(malformed) == 3
     assert all(spans == [] for spans in predictions)
     assert all(count == 0 for count in malformed)
+
+
+def test_decode_corpus_skips_only_the_overlong_sentence():
+    model = build_model(max_len=48)
+    first, last = tiny_corpus(2).sentences
+    overlong = AnnotatedSentence(tokens=("the",) * 49, spans=())
+    corpus = Corpus(sentences=[first, overlong, last], label_set=PROBE.label_set)
+    predictions, malformed = decode_corpus(model, corpus)
+    alone = decode_corpus(model, Corpus(sentences=[first, last], label_set=PROBE.label_set))
+    assert predictions == [alone[0][0], [], alone[0][1]]
+    assert malformed == [alone[1][0], 0, alone[1][1]]
 
 
 def test_memorizes_a_small_corpus():
