@@ -11,6 +11,15 @@ stack reduces exactly to a vanilla transformer.
 Prefix rows are split across heads along the feature axis, the same way
 token projections are, so every head sees prompt_len prefix slots of
 width d_model / n_heads.
+
+The decoder runs in one of two ways through the same attention code.
+Teacher forcing passes every input row at once. Greedy decoding passes a
+DecoderCache and one new row per step: the cache keeps, per layer and
+head, the self-attention keys and values of the rows seen so far (the
+guidance prefix first) and the cross-attention keys and values of the
+encoder states, so a step costs one decoder row and decoding a sentence
+is linear in its output length. The new row's state equals the one a
+teacher-forced pass over the whole prefix gives, up to float rounding.
 """
 from __future__ import annotations
 
@@ -180,6 +189,23 @@ class GuidanceModule:
             p.value.grad = None
 
 
+@dataclass
+class DecoderCache:
+    """One sentence's decoder state, for feeding ``decode_states`` a row at a time.
+
+    ``length`` counts the decoder rows consumed so far. ``self_kv`` holds,
+    per layer, the self-attention keys and values of those rows, full width
+    (heads are column blocks), behind the layer's guidance prefix.
+    ``cross_kv`` holds, per layer and head, the transposed keys and the
+    values of the encoder states, which stay fixed for the sentence. Both
+    are filled the first time a layer runs.
+    """
+
+    length: int = 0
+    self_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
+    cross_kv: dict[int, list[tuple[Tensor, Tensor]]] = field(default_factory=dict)
+
+
 class Backbone:
     """Token embeddings plus guided encoder and decoder stacks.
 
@@ -274,19 +300,26 @@ class Backbone:
         causal: bool,
         kv: Tensor | None = None,
         block: str = "attn",
+        cache: DecoderCache | None = None,
     ) -> Tensor:
         """One attention sub-layer: project, attend, W_o, residual, layer norm.
 
         ``phi`` rows enter as extra key/value rows directly, bypassing the
         K/V projections; ``kv`` switches the key/value source for
-        cross-attention (which never takes a prefix).
+        cross-attention (which never takes a prefix). With a ``cache``, the
+        rows of ``x`` follow the rows the cache has already seen: their keys
+        and values are appended to the cached ones, and cross-attention
+        reuses the encoder's keys and values once they are cached.
         """
         cfg = self.config
         base = f"{stack}.layer{layer}.{block}"
-        source = kv if kv is not None else x
+        cross = kv is not None
+        fixed = cache.cross_kv.get(layer) if cache is not None and cross else None
         q = T.add(T.matmul(x, self.param(f"{base}.Wq").value), self.param(f"{base}.bq").value)
-        k = T.add(T.matmul(source, self.param(f"{base}.Wk").value), self.param(f"{base}.bk").value)
-        v = T.add(T.matmul(source, self.param(f"{base}.Wv").value), self.param(f"{base}.bv").value)
+        if fixed is None:
+            source = kv if cross else x
+            k = T.add(T.matmul(source, self.param(f"{base}.Wk").value), self.param(f"{base}.bk").value)
+            v = T.add(T.matmul(source, self.param(f"{base}.Wv").value), self.param(f"{base}.bv").value)
 
         prefix = 0
         if phi is not None:
@@ -302,24 +335,43 @@ class Backbone:
             prefix = phi_k.data.shape[0]
 
         n = x.data.shape[0]
+        # keys every row of x sees: the guidance prefix and, with a cache, the rows before x
+        ahead = prefix
+        if cache is not None and not cross:
+            # the first step puts the prefix in front; later steps append to the cached rows
+            earlier = cache.self_kv.get(layer, phi if prefix else None)
+            if earlier is not None:
+                k = T.concat([earlier[0], k], axis=0)
+                v = T.concat([earlier[1], v], axis=0)
+            cache.self_kv[layer] = (k, v)
+            ahead, prefix = k.data.shape[0] - n, 0  # the prefix rows are inside k and v now
         dh = cfg.d_head
-        mask = self._causal_mask(n, prefix) if causal else None
+        # one row continuing a cache sees every key, so it needs no mask
+        mask = self._causal_mask(n, ahead) if causal and (cache is None or n > 1) else None
         heads = []
+        kept = []
         for h in range(cfg.n_heads):
             lo, hi = h * dh, (h + 1) * dh
             qh = T.slice_cols(q, lo, hi)
-            kh = T.slice_cols(k, lo, hi)
-            vh = T.slice_cols(v, lo, hi)
-            if prefix:
-                kh = T.concat([T.slice_cols(phi_k, lo, hi), kh], axis=0)
-                vh = T.concat([T.slice_cols(phi_v, lo, hi), vh], axis=0)
-            scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+            if fixed is not None:
+                kh_t, vh = fixed[h]
+            else:
+                kh = T.slice_cols(k, lo, hi)
+                vh = T.slice_cols(v, lo, hi)
+                if prefix:
+                    kh = T.concat([T.slice_cols(phi_k, lo, hi), kh], axis=0)
+                    vh = T.concat([T.slice_cols(phi_v, lo, hi), vh], axis=0)
+                kh_t = T.transpose(kh)
+                kept.append((kh_t, vh))
+            scores = T.scale(T.matmul(qh, kh_t), 1.0 / math.sqrt(dh))
             if mask is not None:
                 scores = T.masked_fill(scores, mask)
             attn = T.softmax_rows(scores)
             if self.debug_attn is not None:
                 self.debug_attn.append(attn.data.copy())
             heads.append(T.matmul(attn, vh))
+        if cache is not None and cross and fixed is None:
+            cache.cross_kv[layer] = kept
         ctx = heads[0] if len(heads) == 1 else T.concat(heads, axis=1)
         out = T.add(T.matmul(ctx, self.param(f"{base}.Wo").value), self.param(f"{base}.bo").value)
         ln = base.replace(f".{block}", f".ln_{block}")
@@ -355,32 +407,34 @@ class Backbone:
             x = self._ffn("encoder", layer, x)
         return x
 
-    def decode_states(self, h_en: Tensor, dec_inputs: Tensor) -> Tensor:
+    def decode_states(self, h_en: Tensor, dec_inputs: Tensor, cache: DecoderCache | None = None) -> Tensor:
         """Run the decoder over already-embedded inputs; one state per position.
 
         Self-attention is causal (prefix slots exempt); every layer then
-        cross-attends into ``h_en`` unguided.
+        cross-attends into ``h_en`` unguided. With a ``cache``, the inputs
+        continue the rows it has already seen (positions ``cache.length``
+        onwards), only their states are computed and returned, and the
+        cache takes them in.
         """
         t = dec_inputs.data.shape[0]
+        start = cache.length if cache is not None else 0
         if t == 0:
             raise ShapeError("decoder needs at least one input position")
-        if t > self.config.max_len:
-            raise ShapeError(f"decoder input of {t} positions exceeds max_len {self.config.max_len}")
+        if start + t > self.config.max_len:
+            raise ShapeError(f"decoder input of {start + t} positions exceeds max_len {self.config.max_len}")
         if dec_inputs.data.shape[1] != self.config.d_model:
             raise ShapeError(
                 f"decoder input width {dec_inputs.data.shape} does not match d_model {self.config.d_model}"
             )
-        x = T.add(dec_inputs, T.gather_rows(self.param("embed.dec_pos").value, range(t)))
+        x = T.add(dec_inputs, T.gather_rows(self.param("embed.dec_pos").value, range(start, start + t)))
         for layer in range(self.config.dec_layers):
             x = self.attention_with_guidance(
-                "decoder", layer, x, self.guidance.pair("decoder", layer), causal=True
+                "decoder", layer, x, self.guidance.pair("decoder", layer), causal=True, cache=cache
             )
-            x = self.attention_with_guidance("decoder", layer, x, None, causal=False, kv=h_en, block="cross")
+            x = self.attention_with_guidance(
+                "decoder", layer, x, None, causal=False, kv=h_en, block="cross", cache=cache
+            )
             x = self._ffn("decoder", layer, x)
+        if cache is not None:
+            cache.length += t
         return x
-
-    def decode_step(self, h_en: Tensor, dec_inputs: Tensor) -> Tensor:
-        """Hidden state for the next prediction: the last decoder position."""
-        states = self.decode_states(h_en, dec_inputs)
-        return T.slice_rows(states, states.data.shape[0] - 1, states.data.shape[0])
-

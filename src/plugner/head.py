@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone
+from .backbone import Backbone, DecoderCache
 from .data import EntitySpan, Vocab, build_verbalizer_mapping
 from .errors import ShapeError
 from .tensor import Parameter, Tensor
@@ -164,6 +164,11 @@ class NerModel:
 # step distributions
 
 
+def pointer_keys(h_en: Tensor, e_seq: Tensor, alpha: float) -> Tensor:
+    """Scoring rows of the pointer indices: alpha * h_en + (1 - alpha) * e_seq."""
+    return T.add(T.scale(h_en, alpha), T.scale(e_seq, 1.0 - alpha))
+
+
 def step_scores(
     h_en: Tensor,
     e_seq: Tensor,
@@ -185,7 +190,7 @@ def step_scores(
         raise ShapeError(
             f"decoder state width {h_dec.data.shape} does not match encoder width {h_en.data.shape}"
         )
-    mixed = T.add(T.scale(h_en, alpha), T.scale(e_seq, 1.0 - alpha))
+    mixed = pointer_keys(h_en, e_seq, alpha)
     eos_scores = T.matmul(h_dec, T.transpose(verbalizer.eos_embedding()))
     pointer_scores = T.matmul(h_dec, T.transpose(mixed))
     category_scores = T.matmul(h_dec, T.transpose(verbalizer.rep_matrix()))
@@ -235,34 +240,38 @@ class DecodeResult:
     truncated: bool
 
 
-def greedy_decode(
-    model: NerModel,
-    token_ids: Sequence[int],
-    verbalizer: Verbalizer | None = None,
-    max_steps: int | None = None,
-) -> DecodeResult:
+def greedy_decode(model: NerModel, token_ids: Sequence[int], max_steps: int | None = None) -> DecodeResult:
     """Argmax decoding until eos or the step budget (default 3n + 1) runs out.
 
     The budget never exceeds max_len, the most positions the decoder
     takes. The returned sequence includes the terminating 0 when decoding
     stopped naturally; ``truncated`` is set when the budget ran out first.
+
+    Decoding is incremental: each step feeds the decoder only the row of
+    the index just emitted, through one DecoderCache per sentence, and
+    scores it against the [eos | pointers | categories] key rows, which
+    are built once. A category's feedback row is its row of those keys.
     """
-    verbalizer = verbalizer or model.verbalizer
+    backbone, verbalizer = model.backbone, model.verbalizer
     n = len(token_ids)
     budget = min(max_steps if max_steps is not None else 3 * n + 1, model.config.max_len)
-    alpha = model.config.alpha
-    h_en = model.backbone.encode(token_ids)
-    e_seq = model.backbone.embed_tokens(token_ids)
+    h_en = backbone.encode(token_ids)
+    e_seq = backbone.embed_tokens(token_ids)
+    pointers = pointer_keys(h_en, e_seq, model.config.alpha)
+    keys = T.concat([verbalizer.eos_embedding(), pointers, verbalizer.rep_matrix()], axis=0)
+    keys_t = T.transpose(keys)
+    cache = DecoderCache()
 
+    row = verbalizer.bos_embedding()
     out: list[int] = []
     for _ in range(budget):
-        inputs = decoder_inputs(model, token_ids, out)
-        h_t = model.backbone.decode_step(h_en, inputs)
-        dist = step_distribution(h_en, e_seq, h_t, verbalizer, alpha)
+        h_t = backbone.decode_states(h_en, row, cache)
+        dist = T.softmax_rows(T.matmul(h_t, keys_t))
         y = int(np.argmax(dist.data))
         out.append(y)
         if y == IndexSpace.EOS:
             return DecodeResult(out, truncated=False)
+        row = backbone.embed_tokens([token_ids[y - 1]]) if y <= n else T.slice_rows(keys, y, y + 1)
     return DecodeResult(out, truncated=True)
 
 

@@ -69,11 +69,16 @@ def _read_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
         )
     if header["kind"] != kind:
         raise FormatError(f"{path}: artifact is a {header['kind']!r}, expected a {kind!r}")
+    meta, manifest = header.get("meta"), header.get("manifest")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: header lacks a meta object")
+    if not isinstance(manifest, list) or not all(_is_manifest_entry(entry) for entry in manifest):
+        raise FormatError(f"{path}: header lacks a manifest of {{name, shape}} entries")
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise ChecksumError(f"{path}: payload checksum mismatch (file truncated or corrupted)")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["manifest"]:
+    for entry in manifest:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
@@ -82,7 +87,55 @@ def _read_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
             raise ChecksumError(f"{path}: payload shorter than its manifest")
         arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
-    return header["meta"], arrays
+    if offset != len(payload):
+        raise FormatError(f"{path}: {len(payload) - offset} payload bytes past the end of the manifest")
+    return meta, arrays
+
+
+def _is_manifest_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(_is_int(dim) and dim >= 0 for dim in entry["shape"])
+    )
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_mapping(value) -> bool:
+    return isinstance(value, dict) and all(_is_str_list(words) for words in value.values())
+
+
+# The metadata a model or a prompt is rebuilt from, with the test each field must pass.
+_CHECKPOINT_META = {
+    "config": lambda v: isinstance(v, dict),
+    "vocab": _is_str_list,
+    "categories": _is_str_list,
+    "beta_policy": lambda v: isinstance(v, str),
+    "mapping": _is_mapping,
+}
+_PROMPT_META = {
+    "d_model": _is_int,
+    "prompt_len": _is_int,
+    "guided_layers": lambda v: isinstance(v, dict)
+    and all(isinstance(layers, list) and all(_is_int(i) for i in layers) for layers in v.values()),
+    "categories": _is_str_list,
+    "beta_policy": lambda v: isinstance(v, str),
+    "mapping": _is_mapping,
+}
+
+
+def _check_meta(path: str | Path, kind: str, meta: dict, fields: Mapping) -> None:
+    for key, valid in fields.items():
+        if not valid(meta.get(key)):
+            raise FormatError(f"{path}: {kind} meta field {key!r} is missing or ill-typed")
 
 
 def check_fields(what: str, expected: Mapping, found: Mapping) -> None:
@@ -117,16 +170,20 @@ def save_checkpoint(path: str | Path, model: NerModel, seed: int = 0, trained_st
 def load_checkpoint(path: str | Path) -> tuple[NerModel, dict]:
     """Reconstruct a model bitwise from a checkpoint; returns (model, meta)."""
     meta, arrays = _read_container(path, "checkpoint")
-    config = ModelConfig.from_dict(meta["config"])
-    vocab = Vocab(meta["vocab"])
-    backbone = Backbone(config, seed=0)
-    verbalizer = Verbalizer(
-        meta["categories"],
-        vocab,
-        backbone.param("embed.tokens"),
-        policy=meta["beta_policy"],
-        mapping={c: tuple(w) for c, w in meta["mapping"].items()},
-    )
+    _check_meta(path, "checkpoint", meta, _CHECKPOINT_META)
+    try:
+        config = ModelConfig.from_dict(meta["config"])
+        vocab = Vocab(meta["vocab"])
+        backbone = Backbone(config, seed=0)
+        verbalizer = Verbalizer(
+            meta["categories"],
+            vocab,
+            backbone.param("embed.tokens"),
+            policy=meta["beta_policy"],
+            mapping={c: tuple(w) for c, w in meta["mapping"].items()},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: checkpoint meta does not describe a model ({exc})") from None
     model = NerModel(backbone, vocab, verbalizer)
     check_fields(
         f"{path}: stored parameters do not fit the stored config",
@@ -222,6 +279,7 @@ def save_prompt(path: str | Path, prompt: PromptFile) -> None:
 
 def load_prompt(path: str | Path) -> PromptFile:
     meta, arrays = _read_container(path, "prompt")
+    _check_meta(path, "prompt", meta, _PROMPT_META)
     phi = {name[len("phi."):]: arr for name, arr in arrays.items() if name.startswith("phi.")}
     raw = {name[len("raw."):]: arr for name, arr in arrays.items() if name.startswith("raw.")}
     return PromptFile(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Corpus
-from .errors import DivergedError
+from .errors import DivergedError, ShapeError
 from .evaluate import evaluate
 from .head import (
     IndexSpace,
@@ -302,13 +302,22 @@ def run_training(
 
     Per-sentence losses are backpropagated on separate tapes; parameter
     gradients accumulate across a batch and are averaged before the step.
-    A non-finite loss aborts with the last finite step number in the
-    error. Dev F1 is measured every ``eval_every`` steps (default: once
-    per epoch) and reaching ``f1_target`` stops training early.
+    A sentence with more tokens or gold indices than max_len is refused
+    before the first step. A non-finite loss aborts with the last finite
+    step number in the error. Dev F1 is measured every ``eval_every``
+    steps (default: once per epoch) and reaching ``f1_target`` stops
+    training early.
     """
     examples = [gold_indices(model, s) for s in train.sentences]
     if not examples:
         raise ValueError("training corpus is empty")
+    max_len = model.config.max_len
+    for i, (token_ids, gold) in enumerate(examples, start=1):
+        if len(token_ids) > max_len or len(gold) > max_len:
+            raise ShapeError(
+                f"training sentence {i} of {len(examples)} has {len(token_ids)} tokens and "
+                f"{len(gold)} gold indices; max_len {max_len} bounds both"
+            )
     rng = np.random.default_rng(seed)
     cfg = optimizer.config
     steps_per_epoch = max(1, math.ceil(len(examples) / cfg.batch_size))

@@ -64,6 +64,9 @@ from plugner.training import (
     warmup_steps,
 )
 
+# `pytest -m "not acceptance"` skips this module: the fast inner loop
+pytestmark = pytest.mark.acceptance
+
 PAPER_SEEDS = (1, 2, 49, 4321, 1234)
 
 # transfer experiment recipe (check 06), frozen after calibration

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plugner.backbone import Backbone, LayerRange, ModelConfig, select_guided_layers
+from plugner.backbone import Backbone, DecoderCache, LayerRange, ModelConfig, select_guided_layers
 from plugner.errors import ShapeError
 from plugner.tensor import Parameter, Tensor, record
 
@@ -236,11 +238,14 @@ def test_positions_matter():
 
 
 def test_decode_step_t1_shape():
+    # one decoding step: a single row through a fresh cache gives one state
     backbone = Backbone(config(prompt_len=2), seed=1)
     h_en = backbone.encode([1, 2])
     bos = Tensor(np.random.default_rng(0).normal(size=(1, 8)))
-    h1 = backbone.decode_step(h_en, bos)
+    cache = DecoderCache()
+    h1 = backbone.decode_states(h_en, bos, cache)
     assert h1.data.shape == (1, 8)
+    assert cache.length == 1
 
 
 def test_decoder_prefix_states_unchanged_by_appended_token():
@@ -251,6 +256,58 @@ def test_decoder_prefix_states_unchanged_by_appended_token():
     short = backbone.decode_states(h_en, Tensor(three[:2].copy())).data
     full = backbone.decode_states(h_en, Tensor(three.copy())).data
     np.testing.assert_allclose(full[:2], short, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the decoder cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    prompt_len=st.integers(min_value=0, max_value=3),
+    mode=st.sampled_from(["all", "lowest_k", "highest_k"]),
+    n_heads=st.sampled_from([1, 2]),
+    length=st.integers(min_value=1, max_value=12),
+    chunk=st.sampled_from([1, 1, 2, 3]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_cached_decoding_matches_teacher_forcing(prompt_len, mode, n_heads, length, chunk, seed):
+    # max_len is 12: lengths run up to it; lowest_k / highest_k with k=1 leave
+    # one of the two decoder layers unguided
+    guidance = LayerRange(mode, 0 if mode == "all" else 1)
+    backbone = Backbone(config(prompt_len=prompt_len, n_heads=n_heads, guidance=guidance), seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    if prompt_len:
+        # guidance at a generic scale, so prefix rows carry real attention mass
+        backbone.guidance.set_values(
+            {p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()}
+        )
+    h_en = backbone.encode([int(i) for i in rng.integers(0, 20, size=int(rng.integers(1, 13)))])
+    rows = rng.normal(size=(length, 8))
+    full = backbone.decode_states(h_en, Tensor(rows.copy())).data
+    cache = DecoderCache()
+    steps = [
+        backbone.decode_states(h_en, Tensor(rows[lo : lo + chunk].copy()), cache).data
+        for lo in range(0, length, chunk)
+    ]
+    assert cache.length == length
+    np.testing.assert_allclose(np.concatenate(steps, axis=0), full, rtol=0, atol=1e-12)
+
+
+def test_cache_refuses_a_step_past_max_len():
+    backbone = Backbone(config(prompt_len=2), seed=3)  # max_len 12
+    h_en = backbone.encode([1, 2, 3])
+    rows = np.random.default_rng(4).normal(size=(13, 8))
+    cache = DecoderCache()
+    for i in range(12):
+        backbone.decode_states(h_en, Tensor(rows[i : i + 1].copy()), cache)
+    with pytest.raises(ShapeError, match="13 positions exceeds max_len 12"):
+        backbone.decode_states(h_en, Tensor(rows[12:].copy()), cache)
+    assert cache.length == 12
+    fresh = DecoderCache()
+    backbone.decode_states(h_en, Tensor(rows[:10].copy()), fresh)
+    with pytest.raises(ShapeError, match="13 positions exceeds max_len 12"):
+        backbone.decode_states(h_en, Tensor(rows[10:].copy()), fresh)
 
 
 def weighted_sum(x, seed):

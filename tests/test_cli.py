@@ -1,4 +1,5 @@
 """Exit codes, error lines, and an end-to-end run of every subcommand."""
+import hashlib
 import json
 
 import numpy as np
@@ -196,6 +197,68 @@ def test_checkpoint_and_prompt_kinds_are_not_interchangeable(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("FORMAT_ERROR:")
     assert "'prompt'" in err and "'checkpoint'" in err
+
+
+def rewrite_container(path, mutate_header, extra_payload=b""):
+    """Rewrite a container's header; appended payload bytes get a matching checksum."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    mutate_header(header)
+    payload += extra_payload
+    if extra_payload:
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def without(key):
+    return lambda header: header.pop(key)
+
+
+def set_meta(key, value):
+    return lambda header: header["meta"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, extra, detail",
+    [
+        (without("manifest"), b"", "manifest"),
+        (without("meta"), b"", "meta"),
+        (lambda header: None, np.zeros(2).tobytes(), "16 payload bytes past the end of the manifest"),
+        (lambda header: header["meta"].pop("config"), b"", "'config'"),
+        (set_meta("vocab", "red blue"), b"", "'vocab'"),
+        (set_meta("categories", [1, 2]), b"", "'categories'"),
+        (set_meta("beta_policy", None), b"", "'beta_policy'"),
+        (set_meta("mapping", {"animal": "fox"}), b"", "'mapping'"),
+        (set_meta("config", {"vocab_size": 40, "d_model": "8"}), b"", "does not describe a model"),
+    ],
+    ids=["no-manifest", "no-meta", "appended-bytes", "no-config", "vocab-string",
+         "categories-ints", "beta-policy-null", "mapping-string", "config-ill-typed"],
+)
+def test_damaged_checkpoint_is_one_format_error(tmp_path, capsys, tiny_ckpt, mutate, extra, detail):
+    ckpt, corpus = tiny_ckpt
+    rewrite_container(ckpt, mutate, extra)
+    capsys.readouterr()
+    code = main(["decode", "--checkpoint", str(ckpt), "--input", str(corpus),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FORMAT_ERROR:")
+    assert detail in lines[0]
+
+
+def test_damaged_prompt_is_one_format_error(tmp_path, capsys, tiny_cfg, tiny_ckpt):
+    ckpt, corpus = tiny_ckpt
+    prompt = tmp_path / "task.prompt"
+    assert main(["tune", "--checkpoint", str(ckpt), "--train", str(corpus), "--out-prompt", str(prompt),
+                 "--config", tiny_cfg]) == 0
+    rewrite_container(prompt, lambda header: header["meta"].pop("categories"))
+    capsys.readouterr()
+    code = main(["decode", "--checkpoint", str(ckpt), "--prompt", str(prompt), "--input", str(corpus),
+                 "--out", str(tmp_path / "p.jsonl")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"FORMAT_ERROR: {prompt}: prompt meta field 'categories' is missing or ill-typed"]
 
 
 def test_full_pipeline_round_trip(tmp_path, capsys, tiny_cfg):

@@ -12,6 +12,7 @@ from plugner.head import (
     Verbalizer,
     bio_tag_names,
     convert_index_to_token,
+    decoder_inputs,
     greedy_decode,
     indices_from_spans,
     lc_baseline_logits,
@@ -330,6 +331,50 @@ def test_greedy_decode_budget_truncates(model):
         assert 0 not in result.indices
     else:
         assert result.indices[-1] == 0
+
+
+def full_recompute_decode(model, token_ids, max_steps=None):
+    """Greedy decoding that re-runs the decoder over the whole emitted prefix at every step."""
+    budget = min(max_steps if max_steps is not None else 3 * len(token_ids) + 1, model.config.max_len)
+    h_en = model.backbone.encode(token_ids)
+    e_seq = model.backbone.embed_tokens(token_ids)
+    out = []
+    for _ in range(budget):
+        states = model.backbone.decode_states(h_en, decoder_inputs(model, token_ids, out))
+        last = T.slice_rows(states, len(out), len(out) + 1)
+        y = int(np.argmax(step_distribution(h_en, e_seq, last, model.verbalizer, model.config.alpha).data))
+        out.append(y)
+        if y == IndexSpace.EOS:
+            return out, False
+    return out, True
+
+
+@pytest.mark.parametrize("prompt_len", [0, 2])
+def test_greedy_decode_matches_full_recompute(vocab, prompt_len):
+    config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, enc_layers=1, dec_layers=2,
+                         ffn_dim=16, max_len=12, prompt_len=prompt_len)
+    sentences = ["red fox", "one owl near the blue door", "the iron lamp a tree fruit tool near red"]
+    truncated_at_max_len = 0
+    fed_back = set()
+    for seed in range(6):
+        backbone = Backbone(config, seed=seed)
+        m = NerModel(backbone, vocab, Verbalizer(LABELS, vocab, backbone.param("embed.tokens")))
+        # generic weights (raw verbalizer weights included) give varied outputs
+        rng = np.random.default_rng(seed)
+        for p in m.parameters():
+            if p.value.data.ndim == 2:
+                p.value.data[...] = rng.normal(0.0, 0.4, size=p.value.data.shape)
+        for words in sentences:
+            token_ids = vocab.encode(words.split())
+            space = IndexSpace(len(token_ids), len(LABELS))
+            for max_steps in (None, 3):
+                got = greedy_decode(m, token_ids, max_steps=max_steps)
+                assert (got.indices, got.truncated) == full_recompute_decode(m, token_ids, max_steps)
+                truncated_at_max_len += got.truncated and len(got.indices) == config.max_len
+                fed_back.update("pointer" if space.is_pointer(y) else "category" for y in got.indices[:-1])
+    # the default budget 3n + 1 was clamped at max_len, and both kinds of feedback row ran
+    assert truncated_at_max_len > 0
+    assert fed_back == {"pointer", "category"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from plugner.backbone import Backbone, LayerRange, ModelConfig
-from plugner.data import AnnotatedSentence, Corpus, DomainSpec, synthetic_corpus, vocab_for_domains
-from plugner.errors import DivergedError
+from plugner.data import AnnotatedSentence, Corpus, DomainSpec, EntitySpan, synthetic_corpus, vocab_for_domains
+from plugner.errors import DivergedError, ShapeError
 from plugner.head import LcHead, NerModel, Verbalizer, lc_baseline_logits
 from plugner.persist import backbone_hash
 from plugner.tensor import Parameter, Tensor
@@ -302,6 +302,24 @@ def test_training_is_bitwise_reproducible():
     assert runs[0].keys() == runs[1].keys()
     for name in runs[0]:
         np.testing.assert_array_equal(runs[0][name], runs[1][name])
+
+
+@pytest.mark.parametrize("overlong", [
+    AnnotatedSentence(tokens=("the",) * 33, spans=()),
+    # 11 tokens but 11 one-token entities: 3 * 11 + 1 = 34 gold indices
+    AnnotatedSentence(tokens=("fox",) * 11, spans=tuple(EntitySpan(i, i, "animal") for i in range(1, 12))),
+], ids=["tokens", "gold-indices"])
+def test_training_refuses_overlong_sentences_before_the_first_step(overlong):
+    model = build_model(max_len=32)
+    before = {p.name: p.value.data.copy() for p in model.parameters()}
+    first, last = tiny_corpus(2).sentences
+    corpus = Corpus(sentences=[first, overlong, last], label_set=PROBE.label_set)
+    opt = AdamW(partition_parameters(model, "full")[0], OptimizerConfig(total_steps=4, batch_size=1))
+    with pytest.raises(ShapeError, match="training sentence 2 of 3"):
+        run_training(model, corpus, None, opt, seed=1)
+    assert opt.step_count == 0
+    for p in model.parameters():
+        np.testing.assert_array_equal(p.value.data, before[p.name])
 
 
 def test_diverged_loss_raises_with_step_number():
