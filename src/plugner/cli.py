@@ -8,6 +8,7 @@ can branch without scraping prose. Every command takes ``--seed`` and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -25,7 +26,7 @@ from .data import (
     synthetic_corpus,
     write_column_file,
 )
-from .errors import PlugnerError, UsageError
+from .errors import FormatError, PlugnerError, UsageError
 from .evaluate import append_csv_row, config_digest, evaluate, read_predictions, write_predictions
 from .head import NerModel, Verbalizer
 from .persist import (
@@ -38,6 +39,7 @@ from .persist import (
     save_checkpoint,
     save_prompt,
 )
+from .tensor import FD_STEP_RANGE
 from .training import (
     OptimizerConfig,
     decode_corpus,
@@ -156,8 +158,16 @@ def _load_corpus(path: str, what: str) -> Corpus:
     return corpus
 
 
+def _load_training_corpus(path: str, what: str) -> Corpus:
+    """A corpus the verbalizer is built from: it must name at least one category."""
+    corpus = _load_corpus(path, what)
+    if not corpus.label_set:
+        raise FormatError(f"{path}: {what} names no entity category; the verbalizer needs at least one")
+    return corpus
+
+
 def cmd_pretrain(args, cfg: dict) -> int:
-    train = _load_corpus(args.train, "the training corpus")
+    train = _load_training_corpus(args.train, "the training corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
     extras = [_load_corpus(p, p) for p in args.vocab_extra]
     token_sources = [s.tokens for c in [train, *([dev] if dev else []), *extras] for s in c.sentences]
@@ -187,7 +197,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
 
 def cmd_tune(args, cfg: dict) -> int:
     model, meta = _load_checked_checkpoint(args, cfg)
-    train = _load_corpus(args.train, "the tuning corpus")
+    train = _load_training_corpus(args.train, "the tuning corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
     opt_cfg = optimizer_config_from(cfg, args.config, len(train), default_epochs=300, default_lr=1e-2)
     result = tune_guidance(
@@ -297,9 +307,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _in_range(convert, lo, hi=math.inf):
+    """argparse type: ``convert`` the text, then refuse a value outside [lo, hi]."""
+    def parse(text: str):
+        value = convert(text)
+        if not lo <= value <= hi:
+            rule = f"be >= {lo:g}" if hi == math.inf else f"lie in [{lo:g}, {hi:g}]"
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
+    common.add_argument("--seed", type=_in_range(int, 0), default=1, help="random seed, >= 0 (default 1)")
     common.add_argument("--config", default=None, help="key=value config file")
 
     parser = _Parser(prog="plugner", description=__doc__)
@@ -308,7 +331,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-synth", parents=[common], help="generate a synthetic labelled corpus")
     p.add_argument("--domain", choices=sorted(BUILTIN_DOMAINS), help="built-in domain")
     p.add_argument("--spec", help="domain spec file (category: lexeme, ... / template: ... lines)")
-    p.add_argument("--n", type=int, default=200, help="sentences to generate")
+    p.add_argument("--n", type=_in_range(int, 0), default=200, help="sentences to generate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
@@ -354,7 +377,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", parents=[common], help="draw a few-shot subset of a corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, required=True, help="instances per entity tag")
+    p.add_argument("--k", type=_in_range(int, 1), required=True, help="instances per entity tag")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -365,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference audit of the tuning loss on a tiny model")
-    p.add_argument("--h", type=float, default=3e-5, help="central-difference step")
+    p.add_argument("--h", type=_in_range(float, *FD_STEP_RANGE), default=3e-5, help="central-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error allowed")
     p.set_defaults(func=cmd_gradcheck)
 

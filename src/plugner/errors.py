@@ -25,7 +25,7 @@ class GatherIndexError(PlugnerError, IndexError):
 
 
 class TapeError(PlugnerError, RuntimeError):
-    """Tape misuse, e.g. backward() twice without a reset."""
+    """Tape misuse, e.g. backward() twice on one tape."""
 
     code = "TAPE_STATE"
 

@@ -3,9 +3,12 @@
 The decoder writes entities as (start, end, category) index triples over
 a shared space: index 0 terminates the sequence, indices 1..n point at
 input tokens, and indices n+1..n+m name the categories, which always sit
-after the pointer range. Category scores come from a verbalizer: each
+after the pointer range. Category rows come from a verbalizer: each
 category is a learnable convex mixture of label-word embedding rows, so
-adding a category never changes any backbone shape.
+adding a category never changes any backbone shape. Index y names row y
+of two per-sentence tables, ``score_keys`` (what a decoder state is
+scored against) and ``feedback_rows`` (what is fed back after emitting
+y); teacher forcing and greedy decoding share both.
 """
 from __future__ import annotations
 
@@ -161,12 +164,22 @@ class NerModel:
 
 
 # ---------------------------------------------------------------------------
-# step distributions
+# the two per-sentence tables
 
 
-def pointer_keys(h_en: Tensor, e_seq: Tensor, alpha: float) -> Tensor:
-    """Scoring rows of the pointer indices: alpha * h_en + (1 - alpha) * e_seq."""
-    return T.add(T.scale(h_en, alpha), T.scale(e_seq, 1.0 - alpha))
+def score_keys(h_en: Tensor, e_seq: Tensor, verbalizer: Verbalizer, alpha: float, reps: Tensor) -> Tensor:
+    """Row y scores index y: [eos | alpha * h_en + (1 - alpha) * e_seq | category rows reps]."""
+    pointers = T.add(T.scale(h_en, alpha), T.scale(e_seq, 1.0 - alpha))
+    return T.concat([verbalizer.eos_embedding(), pointers, reps], axis=0)
+
+
+def feedback_rows(e_seq: Tensor, verbalizer: Verbalizer, reps: Tensor) -> Tensor:
+    """Row y is fed back after index y: [bos | e_seq | reps]; eos never is, so row 0 is the start row."""
+    return T.concat([verbalizer.bos_embedding(), e_seq, reps], axis=0)
+
+
+# ---------------------------------------------------------------------------
+# teacher forcing
 
 
 def step_scores(
@@ -178,11 +191,8 @@ def step_scores(
 ) -> Tensor:
     """Pre-softmax scores for one or more decoder states (rows of h_dec).
 
-    Column layout: [eos | pointer 1..n | category 1..m]. Pointer scores
-    come from mixing encoder states with raw input embeddings
-    (alpha * h_en + (1 - alpha) * e_seq) dotted against the decoder state;
-    category scores use the verbalizer rows; eos uses the end-marker
-    embedding row.
+    Column y is the state dotted with row y of ``score_keys``, so the
+    column layout is [eos | pointer 1..n | category 1..m].
     """
     if h_en.data.shape != e_seq.data.shape:
         raise ShapeError(f"h_en shape {h_en.data.shape} does not match e_seq shape {e_seq.data.shape}")
@@ -190,11 +200,8 @@ def step_scores(
         raise ShapeError(
             f"decoder state width {h_dec.data.shape} does not match encoder width {h_en.data.shape}"
         )
-    mixed = pointer_keys(h_en, e_seq, alpha)
-    eos_scores = T.matmul(h_dec, T.transpose(verbalizer.eos_embedding()))
-    pointer_scores = T.matmul(h_dec, T.transpose(mixed))
-    category_scores = T.matmul(h_dec, T.transpose(verbalizer.rep_matrix()))
-    return T.concat([eos_scores, pointer_scores, category_scores], axis=1)
+    keys = score_keys(h_en, e_seq, verbalizer, alpha, verbalizer.rep_matrix())
+    return T.matmul(h_dec, T.transpose(keys))
 
 
 def step_distribution(
@@ -208,26 +215,16 @@ def step_distribution(
     return T.softmax_rows(step_scores(h_en, e_seq, h_t, verbalizer, alpha))
 
 
-def convert_index_to_token(y: int, token_ids: Sequence[int], verbalizer: Verbalizer) -> Tensor:
-    """Embed a generated index for the next decoder input (1 x d).
-
-    Pointer indices feed back the pointed-at input token's embedding;
-    category indices feed back the category's verbalizer row.
-    """
-    space = IndexSpace(len(token_ids), len(verbalizer))
-    space.check(y)
-    if y == IndexSpace.EOS:
-        raise ValueError("eos (index 0) is never fed back into the decoder")
-    if space.is_pointer(y):
-        return T.gather_rows(verbalizer._embed.value, [token_ids[y - 1]])
-    return verbalizer.category_rep(verbalizer.categories[space.category_offset(y)])
-
-
 def decoder_inputs(model: NerModel, token_ids: Sequence[int], prefix: Sequence[int]) -> Tensor:
-    """Stack the start row plus converted feedback rows for teacher forcing."""
-    rows = [model.verbalizer.bos_embedding()]
-    rows.extend(convert_index_to_token(y, token_ids, model.verbalizer) for y in prefix)
-    return rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+    """The start row plus the ``feedback_rows`` row of every prefix index, for teacher forcing."""
+    verbalizer = model.verbalizer
+    space = IndexSpace(len(token_ids), len(verbalizer))
+    for y in prefix:
+        space.check(y)
+        if y == IndexSpace.EOS:
+            raise ValueError("eos (index 0) is never fed back into the decoder")
+    rows = feedback_rows(model.backbone.embed_tokens(token_ids), verbalizer, verbalizer.rep_matrix())
+    return T.gather_rows(rows, [0, *prefix])
 
 
 # ---------------------------------------------------------------------------
@@ -247,31 +244,30 @@ def greedy_decode(model: NerModel, token_ids: Sequence[int], max_steps: int | No
     takes. The returned sequence includes the terminating 0 when decoding
     stopped naturally; ``truncated`` is set when the budget ran out first.
 
-    Decoding is incremental: each step feeds the decoder only the row of
-    the index just emitted, through one DecoderCache per sentence, and
-    scores it against the [eos | pointers | categories] key rows, which
-    are built once. A category's feedback row is its row of those keys.
+    Decoding is incremental: each step feeds the decoder only row y of
+    ``feedback_rows`` for the index y just emitted (row 0, the start row,
+    on the first step), through one DecoderCache per sentence, and scores
+    the new state against ``score_keys``. Both tables are built once.
     """
     backbone, verbalizer = model.backbone, model.verbalizer
     n = len(token_ids)
     budget = min(max_steps if max_steps is not None else 3 * n + 1, model.config.max_len)
     h_en = backbone.encode(token_ids)
     e_seq = backbone.embed_tokens(token_ids)
-    pointers = pointer_keys(h_en, e_seq, model.config.alpha)
-    keys = T.concat([verbalizer.eos_embedding(), pointers, verbalizer.rep_matrix()], axis=0)
-    keys_t = T.transpose(keys)
+    reps = verbalizer.rep_matrix()
+    keys_t = T.transpose(score_keys(h_en, e_seq, verbalizer, model.config.alpha, reps))
+    feedback = feedback_rows(e_seq, verbalizer, reps)
     cache = DecoderCache()
 
-    row = verbalizer.bos_embedding()
+    y = 0
     out: list[int] = []
     for _ in range(budget):
-        h_t = backbone.decode_states(h_en, row, cache)
+        h_t = backbone.decode_states(h_en, T.slice_rows(feedback, y, y + 1), cache)
         dist = T.softmax_rows(T.matmul(h_t, keys_t))
         y = int(np.argmax(dist.data))
         out.append(y)
         if y == IndexSpace.EOS:
             return DecodeResult(out, truncated=False)
-        row = backbone.embed_tokens([token_ids[y - 1]]) if y <= n else T.slice_rows(keys, y, y + 1)
     return DecodeResult(out, truncated=True)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,10 @@ from .errors import GatherIndexError, ShapeError, TapeError
 MASK_FILL = -1e30
 
 LN_EPS = 1e-5
+
+# central-difference steps finite_diff_check trusts: below this range
+# cancellation error swamps float64, above it truncation error does
+FD_STEP_RANGE = (1e-7, 1e-4)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -48,13 +53,6 @@ class Tensor:
             raise ShapeError(f"tensors are 1-D or 2-D, got shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _bump(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -124,10 +122,6 @@ class Tape:
             if out.grad is not None:
                 pull(out.grad)
         self._consumed = True
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self._consumed = False
 
 
 _ACTIVE: Tape | None = None
@@ -259,9 +253,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({k},), got {gain.data.shape} and {bias.data.shape}"
         )
-    mu = z.mean(axis=1, keepdims=True)
+    # np.add.reduce / k is bitwise what .mean computes, without its Python wrapper
+    mu = np.add.reduce(z, axis=1, keepdims=True) / k
     xc = z - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / k
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -274,8 +269,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dxhat = g2 * gain.data
         dz = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / k
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / k)
         )
         x._bump(dz[0] if was_1d else dz)
 
@@ -312,11 +307,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             raise ShapeError(f"concat needs 2-D operands, got shape {p.data.shape}")
     sizes = [p.data.shape[axis] for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate(sizes, initial=0))
     kept = list(parts)
 
     def pull(g: np.ndarray) -> None:
-        for p, lo, hi in zip(kept, offsets[:-1], offsets[1:]):
+        for p, lo, hi in zip(kept, offsets, offsets[1:]):
             p._bump(g[lo:hi] if axis == 0 else g[:, lo:hi])
 
     return _emit(out_data, pull)
@@ -458,8 +453,9 @@ def finite_diff_check(
     non-finite probe value is reported per coordinate rather than
     aborting the sweep.
     """
-    if not (1e-7 <= h <= 1e-4):
-        raise ValueError(f"finite-difference step h={h:g} outside the trusted range [1e-7, 1e-4]")
+    lo, hi = FD_STEP_RANGE
+    if not (lo <= h <= hi):
+        raise ValueError(f"finite-difference step h={h:g} outside the trusted range [{lo:g}, {hi:g}]")
 
     checked = [p for p in params if p.trainable]
     for p in checked:

@@ -16,19 +16,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import Corpus
+from .backbone import Backbone, ModelConfig
+from .data import Corpus, DomainSpec, spans_to_bio, synthetic_corpus, vocab_for_domains
 from .errors import DivergedError, ShapeError
 from .evaluate import evaluate
 from .head import (
     IndexSpace,
     NerModel,
+    Verbalizer,
     decoder_inputs,
     greedy_decode,
     indices_from_spans,
     spans_from_indices,
     step_scores,
 )
-from .tensor import Parameter, Tensor, record
+from .tensor import Parameter, Tensor, finite_diff_check, record
 
 TRAINING_MODES = ("full", "guidance_only")
 
@@ -90,18 +92,12 @@ class AdamW:
         self._v = [np.zeros_like(p.value.data) for p in self.params]
         self.step_count = 0
 
-    def _grads(self) -> list[np.ndarray]:
-        return [
-            p.value.grad if p.value.grad is not None else np.zeros_like(p.value.data)
-            for p in self.params
-        ]
-
     def step(self) -> float:
         """Apply one update; returns the learning rate that was used."""
         self.step_count += 1
         cfg = self.config
         lr = lr_at_step(cfg, self.step_count)
-        grads = self._grads()
+        grads = [np.zeros_like(p.value.data) if p.value.grad is None else p.value.grad for p in self.params]
         if cfg.clip_norm > 0:
             total = math.sqrt(sum(float((g * g).sum()) for g in grads))
             if total > cfg.clip_norm:
@@ -193,8 +189,6 @@ def param_ratio(model: NerModel, mode: str) -> ParamReport:
     cfg = model.config
     guided = model.backbone.guidance.guided
     closed = 2 * (len(guided["encoder"]) + len(guided["decoder"])) * cfg.prompt_len * cfg.d_model
-    if cfg.prompt_len == 0:
-        closed = 0
     verbalizer = sum(p.numel() for p in model.verbalizer.parameters())
     return ParamReport(
         mode=mode,
@@ -220,9 +214,8 @@ def sequence_loss(model: NerModel, token_ids: Sequence[int], gold: Sequence[int]
     """
     if not gold:
         raise ValueError("gold index sequence is empty (expected at least the terminator)")
-    space = IndexSpace(len(token_ids), len(model.verbalizer))
-    for y in gold:
-        space.check(y)
+    # decoder_inputs checks the fed-back prefix; the last index is only scored
+    IndexSpace(len(token_ids), len(model.verbalizer)).check(gold[-1])
     h_en = model.backbone.encode(token_ids)
     e_seq = model.backbone.embed_tokens(token_ids)
     inputs = decoder_inputs(model, token_ids, gold[:-1])
@@ -283,9 +276,6 @@ class TrainResult:
     history: list[tuple[int, float, float]] = field(default_factory=list)  # (step, mean loss, dev F1)
     final_f1: float = float("nan")
     stopped_early: bool = False
-
-    def curve(self) -> list[float]:
-        return [f1 for _, _, f1 in self.history]
 
 
 def run_training(
@@ -437,8 +427,6 @@ def train_lc_head(model: NerModel, head, corpus: Corpus, steps: int = 50, lr: fl
     Kept deliberately simple; the baseline exists to demonstrate the
     shape coupling of a classifier head, not to compete on F1.
     """
-    from .data import spans_to_bio
-
     tag_index = {t: i for i, t in enumerate(head.tags)}
     encoded = []
     for sent in corpus.sentences:
@@ -493,11 +481,6 @@ def guidance_gradcheck(seed: int = 1, h: float = 3e-5, tol: float = 1e-5):
     property at either point. Dotted category names give the verbalizer
     two words per category so its mixing weights get real gradients too.
     """
-    from .backbone import Backbone, ModelConfig
-    from .data import DomainSpec, synthetic_corpus, vocab_for_domains
-    from .head import NerModel, Verbalizer
-    from .tensor import finite_diff_check
-
     domain = DomainSpec(
         name="probe",
         categories={

@@ -1,10 +1,15 @@
 """Exit codes, error lines, and an end-to-end run of every subcommand."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plugner
 from plugner.cli import main
 from plugner.data import read_column_file
 from plugner.persist import load_prompt, save_prompt, prompt_from_model
@@ -146,6 +151,41 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out.bio")])
     assert code == 2
     assert capsys.readouterr().err.startswith("IO_ERROR:")
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["pretrain", "--train", "{empty}", "--out", "{tmp}/m.ckpt"], 2, "FORMAT_ERROR: {empty}:"),
+        (["pretrain", "--train", "{all_o}", "--out", "{tmp}/m.ckpt"], 2, "FORMAT_ERROR: {all_o}:"),
+        (["tune", "--checkpoint", "{ckpt}", "--train", "{empty}", "--out-prompt", "{tmp}/t.prompt"],
+         2, "FORMAT_ERROR: {empty}:"),
+        (["tune", "--checkpoint", "{ckpt}", "--train", "{all_o}", "--out-prompt", "{tmp}/t.prompt"],
+         2, "FORMAT_ERROR: {all_o}:"),
+        (["sample", "--input", "{all_o}", "--k", "0", "--out", "{tmp}/s.bio"], 1, "USAGE: argument --k"),
+        (["sample", "--input", "{all_o}", "--k", "-3", "--out", "{tmp}/s.bio"], 1, "USAGE: argument --k"),
+        (["gen-synth", "--domain", "source", "--n", "-1", "--out", "{tmp}/g.bio"], 1, "USAGE: argument --n"),
+        (["gradcheck", "--seed", "-1"], 1, "USAGE: argument --seed"),
+        (["gradcheck", "--h", "1"], 1, "USAGE: argument --h"),
+    ],
+    ids=["pretrain-empty", "pretrain-all-O", "tune-empty", "tune-all-O", "sample-k-0", "sample-k-neg",
+         "gen-synth-n-neg", "seed-neg", "gradcheck-h-1"],
+)
+def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, argv, code, prefix):
+    # a separate process, so an escaping exception shows up as a traceback on stderr
+    (tmp_path / "empty.bio").write_text("")
+    (tmp_path / "all_o.bio").write_text("red O\nfox O\n\nthe O\n")
+    names = {"tmp": str(tmp_path), "empty": str(tmp_path / "empty.bio"), "all_o": str(tmp_path / "all_o.bio")}
+    if "{ckpt}" in argv:
+        names["ckpt"] = str(request.getfixturevalue("tiny_ckpt")[0])
+    env = {**os.environ, "PYTHONPATH": str(Path(plugner.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plugner.cli", *(a.format(**names) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[0].startswith(prefix.format(**names))
 
 
 def test_gradcheck_command_passes(capsys):

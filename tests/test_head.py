@@ -11,11 +11,12 @@ from plugner.head import (
     NerModel,
     Verbalizer,
     bio_tag_names,
-    convert_index_to_token,
     decoder_inputs,
+    feedback_rows,
     greedy_decode,
     indices_from_spans,
     lc_baseline_logits,
+    score_keys,
     spans_from_indices,
     step_distribution,
     step_scores,
@@ -264,24 +265,49 @@ def test_step_scores_shape_contracts(model):
 
 def test_pointer_feedback_embeds_pointed_token(model):
     token_ids = model.vocab.encode("red fox near door".split())
-    out = convert_index_to_token(2, token_ids, model.verbalizer)
+    out = decoder_inputs(model, token_ids, [2])
     embed = model.backbone.param("embed.tokens").value.data
-    np.testing.assert_array_equal(out.data[0], embed[token_ids[1]])
+    np.testing.assert_array_equal(out.data[1], embed[token_ids[1]])
 
 
 def test_category_feedback_embeds_verbalizer_row(model):
     token_ids = model.vocab.encode("red fox near door".split())
-    out = convert_index_to_token(5, token_ids, model.verbalizer)  # first category, n=4
+    out = decoder_inputs(model, token_ids, [5])  # first category, n=4
     rep = model.verbalizer.category_rep(model.verbalizer.categories[0])
-    np.testing.assert_array_equal(out.data, rep.data)
+    np.testing.assert_array_equal(out.data[1:], rep.data)
 
 
 def test_eos_feedback_rejected(model):
     token_ids = model.vocab.encode("red fox near door".split())
     with pytest.raises(ValueError, match="eos"):
-        convert_index_to_token(0, token_ids, model.verbalizer)
+        decoder_inputs(model, token_ids, [0])
     with pytest.raises(ValueError):
-        convert_index_to_token(7, token_ids, model.verbalizer)
+        decoder_inputs(model, token_ids, [7])
+
+
+def test_feedback_row_y_is_what_index_y_feeds(model):
+    token_ids = model.vocab.encode("red fox near door".split())
+    verb = model.verbalizer
+    verb.raw_weights("animal.kind").value.data[:] = [[0.8, -0.3]]
+    embed = model.backbone.param("embed.tokens").value.data
+    rows = feedback_rows(model.backbone.embed_tokens(token_ids), verb, verb.rep_matrix()).data
+    want = [embed[model.vocab.bos_id], *embed[token_ids], *(verb.category_rep(c).data[0] for c in verb.categories)]
+    np.testing.assert_array_equal(rows, np.stack(want))
+    prefix = list(range(len(token_ids) + len(verb), 0, -1))  # every y in 1..n+m, out of order
+    fed = decoder_inputs(model, token_ids, prefix).data
+    np.testing.assert_array_equal(fed, rows[[0, *prefix]])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_step_score_columns_are_score_key_rows(model, alpha):
+    token_ids, h_en, e_seq = encode_probe(model)
+    verb = model.verbalizer
+    h = np.random.default_rng(5).normal(size=(3, 8))
+    keys = score_keys(h_en, e_seq, verb, alpha, verb.rep_matrix()).data
+    scores = step_scores(h_en, e_seq, Tensor(h), verb, alpha).data
+    assert scores.shape == (3, keys.shape[0]) == (3, len(token_ids) + len(verb) + 1)
+    for y in range(keys.shape[0]):
+        np.testing.assert_allclose(scores[:, y], h @ keys[y], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,32 @@ def test_layer_norm_two_points():
     np.testing.assert_allclose(out.data, [-expected, expected], rtol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(1, 64), (17, 64), (5, 8), (3, 12)])
+def test_layer_norm_is_bitwise_the_mean_based_formula(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    x = rng.normal(0.0, 3.0, size=shape)
+    gain = rng.normal(1.0, 0.5, size=shape[1])
+    bias = rng.normal(0.0, 0.5, size=shape[1])
+    g = rng.normal(size=shape)
+
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + T.LN_EPS)
+    xhat = xc * inv
+    dxhat = g * gain
+    want_dx = inv * (
+        dxhat - dxhat.mean(axis=1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    )
+
+    xt = Tensor(x)
+    with record() as tape:
+        out = T.layer_norm(xt, t(gain), t(bias))
+        loss = T.reduce_sum(T.mul(out, t(g)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(out.data, xhat * gain + bias)
+    np.testing.assert_array_equal(xt.grad, want_dx)
+
+
 def test_add_broadcasts_rows():
     out = T.add(t([[1.0, 2.0], [3.0, 4.0]]), t([10.0, 20.0]))
     np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
