@@ -8,18 +8,20 @@ both; the prefix is exempt from the causal mask and carries no positional
 embedding. Cross-attention is never guided. With prompt_len zero the
 stack reduces exactly to a vanilla transformer.
 
-Prefix rows are split across heads along the feature axis, the same way
-token projections are, so every head sees prompt_len prefix slots of
-width d_model / n_heads.
+The prefix is the first prompt_len rows of a layer's key/value memory:
+each self-attention call joins one full-width block in front of its
+projected keys and values, the rows a DecoderCache holds or else the
+(phi_k, phi_v) pair. Heads split that memory by columns, like the token
+rows, so each head sees prompt_len prefix slots of width d_model / n_heads.
 
 The decoder runs in one of two ways through the same attention code.
 Teacher forcing passes every input row at once. Greedy decoding passes a
-DecoderCache and one new row per step: the cache keeps, per layer and
-head, the self-attention keys and values of the rows seen so far (the
-guidance prefix first) and the cross-attention keys and values of the
-encoder states, so a step costs one decoder row and decoding a sentence
-is linear in its output length. The new row's state equals the one a
-teacher-forced pass over the whole prefix gives, up to float rounding.
+DecoderCache and one new row per step: the cache keeps each layer's
+key/value memory (the prefix, then the rows seen so far) and the
+cross-attention keys and values of the encoder states, so a step costs
+one decoder row and decoding a sentence is linear in its output length.
+The new row's state equals the one a teacher-forced pass over the whole
+prefix gives, up to float rounding.
 """
 from __future__ import annotations
 
@@ -193,9 +195,9 @@ class GuidanceModule:
 class DecoderCache:
     """One sentence's decoder state, for feeding ``decode_states`` a row at a time.
 
-    ``length`` counts the decoder rows consumed so far. ``self_kv`` holds,
-    per layer, the self-attention keys and values of those rows, full width
-    (heads are column blocks), behind the layer's guidance prefix.
+    ``length`` counts the decoder rows consumed so far. ``self_kv`` holds
+    each layer's key/value memory at full width (heads are column blocks):
+    the guidance prefix first, then the keys and values of those rows.
     ``cross_kv`` holds, per layer and head, the transposed keys and the
     values of the encoder states, which stay fixed for the sentence. Both
     are filled the first time a layer runs.
@@ -218,7 +220,6 @@ class Backbone:
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
         self.config = config
         self._params: dict[str, Parameter] = {}
-        self.debug_attn: list[np.ndarray] | None = None
         self._mask_cache: dict[tuple[int, int], np.ndarray] = {}
         rng = np.random.default_rng(seed)
 
@@ -282,12 +283,13 @@ class Backbone:
 
     # -- attention ----------------------------------------------------------
 
-    def _causal_mask(self, n: int, prefix: int) -> np.ndarray:
-        key = (n, prefix)
+    def _causal_mask(self, n: int, ahead: int) -> np.ndarray:
+        """Blocks row i from the rows of x after it; the ``ahead`` rows in front stay visible."""
+        key = (n, ahead)
         cached = self._mask_cache.get(key)
         if cached is None:
-            mask = np.zeros((n, prefix + n), dtype=bool)
-            mask[:, prefix:] = np.triu(np.ones((n, n), dtype=bool), k=1)
+            mask = np.zeros((n, ahead + n), dtype=bool)
+            mask[:, ahead:] = np.triu(np.ones((n, n), dtype=bool), k=1)
             cached = self._mask_cache[key] = mask
         return cached
 
@@ -304,12 +306,12 @@ class Backbone:
     ) -> Tensor:
         """One attention sub-layer: project, attend, W_o, residual, layer norm.
 
-        ``phi`` rows enter as extra key/value rows directly, bypassing the
-        K/V projections; ``kv`` switches the key/value source for
-        cross-attention (which never takes a prefix). With a ``cache``, the
-        rows of ``x`` follow the rows the cache has already seen: their keys
-        and values are appended to the cached ones, and cross-attention
-        reuses the encoder's keys and values once they are cached.
+        Self-attention joins one full-width block in front of the projected
+        keys and values: the ``cache``'s rows for this layer, else the
+        ``phi`` pair, whose rows bypass the K/V projections. A ``cache``
+        stores the joined memory back for the next rows. ``kv`` switches
+        the key/value source for cross-attention, which never takes a
+        prefix and reuses the encoder's cached keys and values.
         """
         cfg = self.config
         base = f"{stack}.layer{layer}.{block}"
@@ -321,7 +323,6 @@ class Backbone:
             k = T.add(T.matmul(source, self.param(f"{base}.Wk").value), self.param(f"{base}.bk").value)
             v = T.add(T.matmul(source, self.param(f"{base}.Wv").value), self.param(f"{base}.bv").value)
 
-        prefix = 0
         if phi is not None:
             phi_k, phi_v = phi
             if phi_k.data.shape[1] != cfg.d_model or phi_v.data.shape[1] != cfg.d_model:
@@ -332,22 +333,19 @@ class Backbone:
                 raise ShapeError(
                     f"phi_k shape {phi_k.data.shape} does not match phi_v shape {phi_v.data.shape}"
                 )
-            prefix = phi_k.data.shape[0]
 
         n = x.data.shape[0]
-        # keys every row of x sees: the guidance prefix and, with a cache, the rows before x
-        ahead = prefix
-        if cache is not None and not cross:
-            # the first step puts the prefix in front; later steps append to the cached rows
-            earlier = cache.self_kv.get(layer, phi if prefix else None)
-            if earlier is not None:
-                k = T.concat([earlier[0], k], axis=0)
-                v = T.concat([earlier[1], v], axis=0)
-            cache.self_kv[layer] = (k, v)
-            ahead, prefix = k.data.shape[0] - n, 0  # the prefix rows are inside k and v now
+        if not cross:
+            # the rows in front of x: the cached rows if any, else the guidance prefix
+            front = phi if cache is None else cache.self_kv.get(layer, phi)
+            if front is not None:
+                k = T.concat([front[0], k], axis=0)
+                v = T.concat([front[1], v], axis=0)
+            if cache is not None:
+                cache.self_kv[layer] = (k, v)
         dh = cfg.d_head
-        # one row continuing a cache sees every key, so it needs no mask
-        mask = self._causal_mask(n, ahead) if causal and (cache is None or n > 1) else None
+        # a single row sees every key in front of it, so it needs no mask
+        mask = self._causal_mask(n, k.data.shape[0] - n) if causal and n > 1 else None
         heads = []
         kept = []
         for h in range(cfg.n_heads):
@@ -356,20 +354,13 @@ class Backbone:
             if fixed is not None:
                 kh_t, vh = fixed[h]
             else:
-                kh = T.slice_cols(k, lo, hi)
+                kh_t = T.transpose(T.slice_cols(k, lo, hi))
                 vh = T.slice_cols(v, lo, hi)
-                if prefix:
-                    kh = T.concat([T.slice_cols(phi_k, lo, hi), kh], axis=0)
-                    vh = T.concat([T.slice_cols(phi_v, lo, hi), vh], axis=0)
-                kh_t = T.transpose(kh)
                 kept.append((kh_t, vh))
             scores = T.scale(T.matmul(qh, kh_t), 1.0 / math.sqrt(dh))
             if mask is not None:
                 scores = T.masked_fill(scores, mask)
-            attn = T.softmax_rows(scores)
-            if self.debug_attn is not None:
-                self.debug_attn.append(attn.data.copy())
-            heads.append(T.matmul(attn, vh))
+            heads.append(T.matmul(T.softmax_rows(scores), vh))
         if cache is not None and cross and fixed is None:
             cache.cross_kv[layer] = kept
         ctx = heads[0] if len(heads) == 1 else T.concat(heads, axis=1)

@@ -23,6 +23,7 @@ from .data import (
     few_shot_sample,
     parse_domain_spec,
     read_column_file,
+    read_text,
     synthetic_corpus,
     write_column_file,
 )
@@ -68,7 +69,7 @@ _OPTIMIZER_KEYS = ("peak_lr", "batch_size", "weight_decay", "clip_norm", "warmup
 def read_config_file(path: str | Path) -> dict[str, str]:
     """Parse key=value lines; '#' starts a comment, blank lines are fine."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, UsageError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

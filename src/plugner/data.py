@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, VocabError
+from .errors import FormatError, PlugnerError, VocabError
 
 DEFAULT_SEEDS = (1, 2, 49, 4321, 1234)
 
@@ -121,6 +121,14 @@ def spans_to_bio(spans: Iterable[EntitySpan], n_tokens: int) -> list[str]:
     return tags
 
 
+def read_text(path: str | Path, error: type[PlugnerError] = FormatError) -> str:
+    """A text input file's contents; bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_column_file(path: str | Path) -> Corpus:
     """Read a two-column BIO file: token and tag per line, blank line between sentences."""
     path = Path(path)
@@ -142,25 +150,24 @@ def read_column_file(path: str | Path) -> Corpus:
         tokens.clear()
         tags.clear()
 
-    with path.open(encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                close_sentence(lineno)
-                continue
-            cols = line.split()
-            if len(cols) < 2:
-                raise FormatError(f"{path}:{lineno}: expected 'token tag', got {line!r}")
-            tag = cols[-1]
-            # validate tag shape here so the error names the offending line
-            if tag != "O" and not (tag.startswith(("B-", "I-")) and len(tag) > 2):
-                raise FormatError(
-                    f"{path}:{lineno}: tag {tag!r} is not O, B-<cat>, or I-<cat>"
-                )
-            tokens.append(cols[0])
-            tags.append(tag)
-        close_sentence(lineno + 1)
+    # split at newlines only: str.splitlines would also split a token at \x85 and the like
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            close_sentence(lineno)
+            continue
+        cols = line.split()
+        if len(cols) < 2:
+            raise FormatError(f"{path}:{lineno}: expected 'token tag', got {line!r}")
+        tag = cols[-1]
+        # validate tag shape here so the error names the offending line
+        if tag != "O" and not (tag.startswith(("B-", "I-")) and len(tag) > 2):
+            raise FormatError(
+                f"{path}:{lineno}: tag {tag!r} is not O, B-<cat>, or I-<cat>"
+            )
+        tokens.append(cols[0])
+        tags.append(tag)
+    close_sentence(lineno + 1)
 
     corpus = Corpus.from_sentences(sentences, name=path.stem)
     corpus.repair_count = repairs
@@ -437,7 +444,7 @@ def parse_domain_spec(path: str | Path, name: str | None = None) -> DomainSpec:
     path = Path(path)
     categories: dict[str, tuple[str, ...]] = {}
     templates: list[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .data import Corpus, EntitySpan
-from .errors import EvalLengthError
+from .data import Corpus, EntitySpan, read_text
+from .errors import EvalLengthError, FormatError
 
 METRICS_SCHEMA_VERSION = 1
 
@@ -172,18 +172,16 @@ def write_predictions(path: str | Path, sentences, span_lists: Sequence[Iterable
 
 def read_predictions(path: str | Path) -> tuple[list[list[EntitySpan]], int]:
     """Parse a predictions file; returns span lists and the summed malformed count."""
-    from .errors import FormatError
-
     span_lists: list[list[EntitySpan]] = []
     malformed = 0
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
             spans = [EntitySpan(int(s), int(e), str(c)) for s, e, c in row["spans"]]
+            malformed += int(row.get("malformed", 0))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{lineno}: bad prediction row ({exc})") from None
         span_lists.append(spans)
-        malformed += int(row.get("malformed", 0))
     return span_lists, malformed

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -80,7 +81,7 @@ def _read_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
     offset = 0
     for entry in manifest:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
         nbytes = count * 8
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:

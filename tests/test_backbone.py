@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plugner import tensor as T
 from plugner.backbone import Backbone, DecoderCache, LayerRange, ModelConfig, select_guided_layers
 from plugner.errors import ShapeError
 from plugner.tensor import Parameter, Tensor, record
@@ -157,15 +158,99 @@ def test_guided_attention_matches_straight_line_oracle():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-def test_attention_rows_sum_to_one_including_prefix():
+def test_attention_rows_sum_to_one_including_prefix(monkeypatch):
+    seen = []
+    original = T.softmax_rows
+
+    def softmax_rows(x):
+        out = original(x)
+        seen.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(T, "softmax_rows", softmax_rows)
     backbone = Backbone(config(prompt_len=3), seed=2)
-    backbone.debug_attn = []
+    rows = np.random.default_rng(0).normal(size=(4, 8))
     h_en = backbone.encode([1, 2, 3, 4])
-    backbone.decode_states(h_en, Tensor(np.random.default_rng(0).normal(size=(3, 8))))
-    assert backbone.debug_attn  # every layer contributed
-    for attn in backbone.debug_attn:
+    backbone.decode_states(h_en, Tensor(rows[:3].copy()))
+    # and one cached row: it attends over the prefix and every row before it
+    cache = DecoderCache()
+    backbone.decode_states(h_en, Tensor(rows[:3].copy()), cache)
+    n_before = len(seen)
+    backbone.decode_states(h_en, Tensor(rows[3:].copy()), cache)
+    assert len(seen) - n_before == 2 * 2 * 2  # (self + cross) x 2 layers x 2 heads
+    assert {a.shape for a in seen[n_before:]} == {(1, 3 + 4), (1, 4)}
+    # every layer and head of the encoder, the decoder and the cached step contributed
+    assert len(seen) == 2 * 2 + 3 * (2 * 2 * 2)
+    for attn in seen:
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(attn.shape[0]), atol=1e-12)
         assert np.all(attn >= 0)
+
+
+def per_head_prefix_attention(backbone, stack, layer, x, phi, causal):
+    # reference for the attention sub-layer without a cache: each head slices
+    # phi by columns and joins it in front of its own keys and values
+    cfg = backbone.config
+    base = f"{stack}.layer{layer}.attn"
+    w = {piece: backbone.param(f"{base}.{piece}").value for piece in ("Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo")}
+    q = T.add(T.matmul(x, w["Wq"]), w["bq"])
+    k = T.add(T.matmul(x, w["Wk"]), w["bk"])
+    v = T.add(T.matmul(x, w["Wv"]), w["bv"])
+    n, prefix, dh = x.data.shape[0], 0 if phi is None else phi[0].data.shape[0], cfg.d_head
+    mask = None
+    if causal:
+        mask = np.zeros((n, prefix + n), dtype=bool)
+        mask[:, prefix:] = np.triu(np.ones((n, n), dtype=bool), k=1)
+    heads = []
+    for h in range(cfg.n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        qh = T.slice_cols(q, lo, hi)
+        kh = T.slice_cols(k, lo, hi)
+        vh = T.slice_cols(v, lo, hi)
+        if prefix:
+            kh = T.concat([T.slice_cols(phi[0], lo, hi), kh], axis=0)
+            vh = T.concat([T.slice_cols(phi[1], lo, hi), vh], axis=0)
+        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh))
+        if mask is not None:
+            scores = T.masked_fill(scores, mask)
+        heads.append(T.matmul(T.softmax_rows(scores), vh))
+    out = T.add(T.matmul(T.concat(heads, axis=1), w["Wo"]), w["bo"])
+    ln = f"{stack}.layer{layer}.ln_attn"
+    return T.layer_norm(T.add(x, out), backbone.param(f"{ln}.gain").value, backbone.param(f"{ln}.bias").value)
+
+
+@pytest.mark.parametrize("prompt_len", [0, 2])
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_width_prefix_is_bitwise_the_per_head_prefix(prompt_len, causal, n):
+    backbone = Backbone(config(prompt_len=prompt_len), seed=14)
+    rng = np.random.default_rng(15)
+    # generic weights and guidance, so every head puts real mass on the prefix
+    for name in ("Wq", "Wk", "Wv", "Wo"):
+        backbone.param(f"decoder.layer0.attn.{name}").value.data = rng.normal(size=(8, 8)) / math.sqrt(8)
+    for name in ("bq", "bk", "bv", "bo"):
+        backbone.param(f"decoder.layer0.attn.{name}").value.data = rng.normal(size=8)
+    backbone.guidance.set_values({p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()})
+    x0 = rng.normal(size=(n, 8))
+    watched = [f"decoder.layer0.attn.{name}" for name in ("Wq", "Wk", "Wv", "Wo")]
+    watched += [f"guidance.decoder.layer0.{name}" for name in ("phi_k", "phi_v") if prompt_len]
+    params = {p.name: p for p in backbone.parameters()}
+
+    def run(attend):
+        for p in params.values():
+            p.value.grad = None
+        x = Parameter("x", x0)
+        with record() as tape:
+            out = attend("decoder", 0, x.value, backbone.guidance.pair("decoder", 0), causal)
+            loss = weighted_sum(out, seed=73)
+        tape.backward(loss)
+        return out.data, x.grad, [params[name].grad for name in watched]
+
+    ours = run(backbone.attention_with_guidance)
+    reference = run(lambda *args: per_head_prefix_attention(backbone, *args))
+    np.testing.assert_array_equal(ours[0], reference[0])
+    np.testing.assert_array_equal(ours[1], reference[1])
+    for name, got, want in zip(watched, ours[2], reference[2]):
+        assert got is not None and np.array_equal(got, want), name
 
 
 def test_guidance_width_mismatch_rejected():
@@ -313,8 +398,6 @@ def test_cache_refuses_a_step_past_max_len():
 def weighted_sum(x, seed):
     # a plain row sum of a layer-norm output is constant (the normalised
     # row sums to zero), so gradient probes must weight components randomly
-    import plugner.tensor as T
-
     weights = np.random.default_rng(seed).normal(size=x.data.shape)
     return T.reduce_sum(T.mul(x, Tensor(weights)))
 
@@ -325,8 +408,6 @@ def test_causal_gradients_are_exactly_zero():
     dec = Parameter("dec_in", np.random.default_rng(7).normal(size=(4, 8)))
     with record() as tape:
         states = backbone.decode_states(h_en, dec.value)
-        import plugner.tensor as T
-
         # position 1's state must not see rows 2..3
         loss = weighted_sum(T.slice_rows(states, 1, 2), seed=70)
     tape.backward(loss)

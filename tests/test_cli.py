@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import plugner
+from plugner.backbone import Backbone, ModelConfig
 from plugner.cli import main
-from plugner.data import read_column_file
+from plugner.data import Vocab, read_column_file
+from plugner.head import NerModel, Verbalizer
 from plugner.persist import load_prompt, save_prompt, prompt_from_model
 
 
@@ -167,17 +169,38 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
         (["gen-synth", "--domain", "source", "--n", "-1", "--out", "{tmp}/g.bio"], 1, "USAGE: argument --n"),
         (["gradcheck", "--seed", "-1"], 1, "USAGE: argument --seed"),
         (["gradcheck", "--h", "1"], 1, "USAGE: argument --h"),
+        (["gradcheck", "--config", "{latin1}"], 1, "USAGE: {latin1}: not UTF-8 text"),
+        (["sample", "--input", "{latin1}", "--k", "1", "--out", "{tmp}/s.bio"], 2, "FORMAT_ERROR: {latin1}: not UTF-8"),
+        (["gen-synth", "--spec", "{latin1}", "--out", "{tmp}/g.bio"], 2, "FORMAT_ERROR: {latin1}: not UTF-8"),
+        (["eval", "--gold", "{all_o}", "--pred", "{latin1}", "--out", "{tmp}/e.json"],
+         2, "FORMAT_ERROR: {latin1}: not UTF-8"),
+        (["eval", "--gold", "{all_o}", "--pred", "{malformed_x}", "--out", "{tmp}/e.json"],
+         2, "FORMAT_ERROR: {malformed_x}:2: bad prediction row"),
+        (["eval", "--gold", "{all_o}", "--pred", "{malformed_null}", "--out", "{tmp}/e.json"],
+         2, "FORMAT_ERROR: {malformed_null}:2: bad prediction row"),
+        (["mix-prompts", "{huge}", "{huge}", "--out", "{tmp}/m.prompt"],
+         2, "CHECKSUM_MISMATCH: {huge}: payload shorter than its manifest"),
     ],
     ids=["pretrain-empty", "pretrain-all-O", "tune-empty", "tune-all-O", "sample-k-0", "sample-k-neg",
-         "gen-synth-n-neg", "seed-neg", "gradcheck-h-1"],
+         "gen-synth-n-neg", "seed-neg", "gradcheck-h-1", "config-not-utf8", "corpus-not-utf8",
+         "spec-not-utf8", "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "prompt-huge-shape"],
 )
 def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, argv, code, prefix):
     # a separate process, so an escaping exception shows up as a traceback on stderr
     (tmp_path / "empty.bio").write_text("")
     (tmp_path / "all_o.bio").write_text("red O\nfox O\n\nthe O\n")
-    names = {"tmp": str(tmp_path), "empty": str(tmp_path / "empty.bio"), "all_o": str(tmp_path / "all_o.bio")}
+    (tmp_path / "latin1.txt").write_bytes("caf\u00e9 O\n".encode("latin-1"))
+    row = '{"spans": [], "tokens": ["red", "fox"]'
+    (tmp_path / "malformed_x.jsonl").write_text(f'{row}}}\n{row}, "malformed": "x"}}\n')
+    (tmp_path / "malformed_null.jsonl").write_text(f'{row}}}\n{row}, "malformed": null}}\n')
+    names = {"tmp": str(tmp_path), **{path.stem: str(path) for path in tmp_path.iterdir()}}
     if "{ckpt}" in argv:
         names["ckpt"] = str(request.getfixturevalue("tiny_ckpt")[0])
+    if "{huge}" in argv:
+        # 2**32 x 2**32 elements: an int64 count wraps to 0
+        names["huge"] = str(tmp_path / "huge.prompt")
+        save_prompt(names["huge"], prompt_from_model(tiny_model()))
+        rewrite_container(Path(names["huge"]), lambda header: header["manifest"][0].__setitem__("shape", [2**32, 2**32]))
     env = {**os.environ, "PYTHONPATH": str(Path(plugner.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "plugner.cli", *(a.format(**names) for a in argv)],
@@ -185,7 +208,9 @@ def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, a
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
-    assert proc.stderr.splitlines()[0].startswith(prefix.format(**names))
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith(prefix.format(**names))
+    assert lines[1:] in ([], ["run 'plugner --help' for the command list"])  # argparse adds the hint
 
 
 def test_gradcheck_command_passes(capsys):
@@ -216,18 +241,17 @@ def test_eval_rejects_misaligned_files(tmp_path, capsys):
     assert "6" in err and "1" in err
 
 
-def test_checkpoint_and_prompt_kinds_are_not_interchangeable(tmp_path, capsys):
-    from plugner.backbone import Backbone, ModelConfig
-    from plugner.data import Vocab
-    from plugner.head import NerModel, Verbalizer
-
+def tiny_model():
     vocab = Vocab("red blue fox owl color animal".split())
     config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, enc_layers=1,
                          dec_layers=1, ffn_dim=16, max_len=16, prompt_len=2)
     backbone = Backbone(config, seed=0)
-    model = NerModel(backbone, vocab, Verbalizer(("color",), vocab, backbone.param("embed.tokens")))
+    return NerModel(backbone, vocab, Verbalizer(("color",), vocab, backbone.param("embed.tokens")))
+
+
+def test_checkpoint_and_prompt_kinds_are_not_interchangeable(tmp_path, capsys):
     prompt_path = tmp_path / "task.prompt"
-    save_prompt(prompt_path, prompt_from_model(model))
+    save_prompt(prompt_path, prompt_from_model(tiny_model()))
 
     gold = tmp_path / "g.bio"
     main(["gen-synth", "--domain", "source", "--n", "3", "--out", str(gold)])
