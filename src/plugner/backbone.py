@@ -16,16 +16,17 @@ rows, so each head sees prompt_len prefix slots of width d_model / n_heads.
 
 The decoder runs in one of two ways through the same attention code.
 Teacher forcing passes every input row at once. Greedy decoding passes a
-DecoderCache and one new row per step: the cache keeps each layer's
-key/value memory (the prefix, then the rows seen so far) and the
-cross-attention keys and values of the encoder states, so a step costs
-one decoder row and decoding a sentence is linear in its output length.
-The new row's state equals the one a teacher-forced pass over the whole
-prefix gives, up to float rounding.
+DecoderCache and one new row per step: the cache keeps, per layer, one
+full-width self-attention key/value memory (the prefix, then the rows
+seen so far) and one full-width pair of cross-attention keys and values
+of the encoder states, so a step costs one decoder row and decoding a
+sentence is linear in its output length. The new row's state equals the
+one a teacher-forced pass over the whole prefix gives, up to float
+rounding. Either way, each attention call is one ``tensor.attention`` op
+over all heads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -195,17 +196,17 @@ class GuidanceModule:
 class DecoderCache:
     """One sentence's decoder state, for feeding ``decode_states`` a row at a time.
 
-    ``length`` counts the decoder rows consumed so far. ``self_kv`` holds
-    each layer's key/value memory at full width (heads are column blocks):
-    the guidance prefix first, then the keys and values of those rows.
-    ``cross_kv`` holds, per layer and head, the transposed keys and the
-    values of the encoder states, which stay fixed for the sentence. Both
-    are filled the first time a layer runs.
+    ``length`` counts the decoder rows consumed so far. Both memories are
+    one full-width (keys, values) pair per layer, heads being column
+    blocks. ``self_kv`` holds the guidance prefix first, then the keys and
+    values of those rows. ``cross_kv`` holds the keys and values of the
+    encoder states, which stay fixed for the sentence. Both are filled the
+    first time a layer runs.
     """
 
     length: int = 0
     self_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
-    cross_kv: dict[int, list[tuple[Tensor, Tensor]]] = field(default_factory=dict)
+    cross_kv: dict[int, tuple[Tensor, Tensor]] = field(default_factory=dict)
 
 
 class Backbone:
@@ -316,9 +317,10 @@ class Backbone:
         cfg = self.config
         base = f"{stack}.layer{layer}.{block}"
         cross = kv is not None
-        fixed = cache.cross_kv.get(layer) if cache is not None and cross else None
         q = T.add(T.matmul(x, self.param(f"{base}.Wq").value), self.param(f"{base}.bq").value)
-        if fixed is None:
+        if cross and cache is not None and layer in cache.cross_kv:
+            k, v = cache.cross_kv[layer]
+        else:
             source = kv if cross else x
             k = T.add(T.matmul(source, self.param(f"{base}.Wk").value), self.param(f"{base}.bk").value)
             v = T.add(T.matmul(source, self.param(f"{base}.Wv").value), self.param(f"{base}.bv").value)
@@ -343,27 +345,11 @@ class Backbone:
                 v = T.concat([front[1], v], axis=0)
             if cache is not None:
                 cache.self_kv[layer] = (k, v)
-        dh = cfg.d_head
+        elif cache is not None:
+            cache.cross_kv[layer] = (k, v)
         # a single row sees every key in front of it, so it needs no mask
         mask = self._causal_mask(n, k.data.shape[0] - n) if causal and n > 1 else None
-        heads = []
-        kept = []
-        for h in range(cfg.n_heads):
-            lo, hi = h * dh, (h + 1) * dh
-            qh = T.slice_cols(q, lo, hi)
-            if fixed is not None:
-                kh_t, vh = fixed[h]
-            else:
-                kh_t = T.transpose(T.slice_cols(k, lo, hi))
-                vh = T.slice_cols(v, lo, hi)
-                kept.append((kh_t, vh))
-            scores = T.scale(T.matmul(qh, kh_t), 1.0 / math.sqrt(dh))
-            if mask is not None:
-                scores = T.masked_fill(scores, mask)
-            heads.append(T.matmul(T.softmax_rows(scores), vh))
-        if cache is not None and cross and fixed is None:
-            cache.cross_kv[layer] = kept
-        ctx = heads[0] if len(heads) == 1 else T.concat(heads, axis=1)
+        ctx = T.attention(q, k, v, cfg.n_heads, mask)
         out = T.add(T.matmul(ctx, self.param(f"{base}.Wo").value), self.param(f"{base}.bo").value)
         ln = base.replace(f".{block}", f".ln_{block}")
         return self._layer_norm(ln, T.add(x, out))

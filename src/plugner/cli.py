@@ -406,8 +406,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        print(f"USAGE: {exc}", file=sys.stderr)
-        print("run 'plugner --help' for the command list", file=sys.stderr)
+        print(f"USAGE: {exc} (run 'plugner --help' for the command list)", file=sys.stderr)
         return 1
     try:
         # a bad --config file is a usage error for every command, even the

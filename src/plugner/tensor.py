@@ -3,8 +3,9 @@
 The op set is the minimum a small guided transformer needs: matrix
 multiply, elementwise add/multiply, scalar scaling, row softmax (plus a
 fused log-softmax for losses), layer normalisation, row gather,
-concatenation and slicing, transpose, GELU/tanh, an additive mask, and a
-full reduction. Everything is float64 and 1-D or 2-D; the only
+concatenation and slicing, transpose, GELU/tanh, an additive mask,
+multi-head attention fused into one op with a hand-written backward, and
+a full reduction. Tensors are float64 and 1-D or 2-D; the only
 broadcasting is adding a row vector to every row of a matrix.
 
 Recording is opt-in. Ops executed inside a ``record()`` block append one
@@ -392,6 +393,57 @@ def masked_fill(x: Tensor, mask: np.ndarray) -> Tensor:
 
     def pull(g: np.ndarray) -> None:
         x._bump(g)
+
+    return _emit(out_data, pull)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape entry.
+
+    ``q`` is n x d, ``k`` and ``v`` are m x d (any prefix rows already in
+    front); head h owns columns [h*dh, (h+1)*dh). Each head computes
+    softmax_rows(masked_fill(scale(q_h @ k_h.T, 1/sqrt(dh)), mask)) @ v_h and
+    the heads are joined by columns. ``mask`` (n x m, True = blocked) is
+    shared by every head.
+
+    The result and the gradients are bitwise those of the per-head ops:
+    heads are stacked as C-contiguous (heads, rows, dh) arrays and go
+    through the same BLAS calls with the same transposed views, and every
+    gradient handed on is C-contiguous, so downstream reductions sum in
+    the same order.
+    """
+    n, d = q.data.shape
+    m = k.data.shape[0]
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"attention width {d} is not a positive multiple of {n_heads} heads")
+    if k.data.shape != (m, d) or v.data.shape != (m, d):
+        raise ShapeError(f"attention keys {k.data.shape} and values {v.data.shape} must both be (m, {d})")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+    Q = np.ascontiguousarray(q.data.reshape(n, n_heads, dh).transpose(1, 0, 2))
+    Kt = np.ascontiguousarray(k.data.reshape(m, n_heads, dh).transpose(1, 2, 0))
+    V = np.ascontiguousarray(v.data.reshape(m, n_heads, dh).transpose(1, 0, 2))
+    s = (Q @ Kt) * c
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ShapeError(f"mask shape {mask.shape} does not match attention scores ({n}, {m})")
+        s = s + np.where(mask, MASK_FILL, 0.0)
+    s = s - s.max(axis=2, keepdims=True)
+    e = np.exp(s)
+    P = e / e.sum(axis=2, keepdims=True)
+    out_data = (P @ V).transpose(1, 0, 2).reshape(n, d)
+
+    def pull(g: np.ndarray) -> None:
+        G = np.ascontiguousarray(g.reshape(n, n_heads, dh).transpose(1, 0, 2))
+        dP = G @ V.transpose(0, 2, 1)
+        dV = P.transpose(0, 2, 1) @ G
+        dS = P * (dP - (dP * P).sum(axis=2, keepdims=True)) * c
+        dQ = dS @ Kt.transpose(0, 2, 1)
+        dKt = Q.transpose(0, 2, 1) @ dS
+        q._bump(np.ascontiguousarray(dQ.transpose(1, 0, 2).reshape(n, d)))
+        k._bump(np.ascontiguousarray(dKt.transpose(2, 0, 1).reshape(m, d)))
+        v._bump(np.ascontiguousarray(dV.transpose(1, 0, 2).reshape(m, d)))
 
     return _emit(out_data, pull)
 

@@ -158,16 +158,27 @@ def test_guided_attention_matches_straight_line_oracle():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def attention_probabilities(q, k, v, n_heads, mask=None):
+    # the (heads, rows, keys) weights one attention call puts on its keys
+    n, d = q.data.shape
+    m, dh = k.data.shape[0], d // n_heads
+    qh = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    kh = k.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
+    scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dh)
+    if mask is not None:
+        scores = scores + np.where(mask, T.MASK_FILL, 0.0)
+    return np_softmax(scores)
+
+
 def test_attention_rows_sum_to_one_including_prefix(monkeypatch):
     seen = []
-    original = T.softmax_rows
+    original = T.attention
 
-    def softmax_rows(x):
-        out = original(x)
-        seen.append(out.data.copy())
-        return out
+    def attention(q, k, v, n_heads, mask=None):
+        seen.append(attention_probabilities(q, k, v, n_heads, mask))
+        return original(q, k, v, n_heads, mask)
 
-    monkeypatch.setattr(T, "softmax_rows", softmax_rows)
+    monkeypatch.setattr(T, "attention", attention)
     backbone = Backbone(config(prompt_len=3), seed=2)
     rows = np.random.default_rng(0).normal(size=(4, 8))
     h_en = backbone.encode([1, 2, 3, 4])
@@ -177,13 +188,102 @@ def test_attention_rows_sum_to_one_including_prefix(monkeypatch):
     backbone.decode_states(h_en, Tensor(rows[:3].copy()), cache)
     n_before = len(seen)
     backbone.decode_states(h_en, Tensor(rows[3:].copy()), cache)
-    assert len(seen) - n_before == 2 * 2 * 2  # (self + cross) x 2 layers x 2 heads
-    assert {a.shape for a in seen[n_before:]} == {(1, 3 + 4), (1, 4)}
-    # every layer and head of the encoder, the decoder and the cached step contributed
-    assert len(seen) == 2 * 2 + 3 * (2 * 2 * 2)
+    assert len(seen) - n_before == 2 * 2  # (self + cross) x 2 layers, each call over both heads
+    assert {a.shape for a in seen[n_before:]} == {(2, 1, 3 + 4), (2, 1, 4)}
+    # every layer of the encoder, the decoder and the cached steps contributed
+    assert len(seen) == 2 + 3 * (2 * 2)
     for attn in seen:
-        np.testing.assert_allclose(attn.sum(axis=1), np.ones(attn.shape[0]), atol=1e-12)
+        np.testing.assert_allclose(attn.sum(axis=2), np.ones(attn.shape[:2]), atol=1e-12)
         assert np.all(attn >= 0)
+
+
+def per_head_attention(q, k, v, n_heads, mask=None):
+    # reference for tensor.attention: the per-head tape ops it replaced, in their order
+    dh = q.data.shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        scores = T.scale(T.matmul(T.slice_cols(q, lo, hi), T.transpose(T.slice_cols(k, lo, hi))), 1.0 / math.sqrt(dh))
+        if mask is not None:
+            scores = T.masked_fill(scores, mask)
+        heads.append(T.matmul(T.softmax_rows(scores), T.slice_cols(v, lo, hi)))
+    return heads[0] if n_heads == 1 else T.concat(heads, axis=1)
+
+
+def assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, mask, prefix=0, seed=0):
+    # output and gradients, with the inputs built as self-attention builds
+    # them: rows take a row bias, as the projections do, and with a prefix
+    # its rows are joined in front of k and v. A gradient handed on in
+    # another memory order would change the bias sums
+    d = q0.shape[1]
+    bias = np.random.default_rng(seed).normal(size=(3, d))
+
+    def run(attend):
+        leaves = [Parameter("q", q0), Parameter("k", k0[prefix:]), Parameter("v", v0[prefix:])]
+        leaves += [Parameter(f"b{name}", b) for name, b in zip("qkv", bias)]
+        fronts = [Parameter(name, a[:prefix]) for name, a in (("phi_k", k0), ("phi_v", v0))] if prefix else []
+        with record() as tape:
+            q, k, v = (T.add(p.value, b.value) for p, b in zip(leaves[:3], leaves[3:]))
+            if prefix:
+                k, v = (T.concat([front.value, rows], axis=0) for front, rows in zip(fronts, (k, v)))
+            out = attend(q, k, v, n_heads, mask)
+            loss = weighted_sum(out, seed=seed)
+        tape.backward(loss)
+        return {"out": out.data, **{p.name: p.grad for p in leaves + fronts}}
+
+    ours, reference = run(T.attention), run(per_head_attention)
+    assert ours.keys() == reference.keys()
+    for name, got in ours.items():
+        assert got is not None and np.array_equal(got, reference[name]), name
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 9])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("prefix", [0, 4])
+def test_fused_attention_is_bitwise_the_per_head_ops(n_heads, n, masked, prefix):
+    # 9 or 13 key rows: a sum over 8 or more rows takes numpy's pairwise
+    # path, where the memory order of a gradient changes the result
+    rng = np.random.default_rng(n_heads * 100 + n * 10 + 2 * masked + prefix)
+    d, m = 16, prefix + n
+    mask = None
+    if masked:
+        mask = np.zeros((n, m), dtype=bool)
+        mask[:, prefix:] = np.triu(np.ones((n, n), dtype=bool), k=1)
+    q0, k0, v0 = (rng.normal(size=shape) for shape in ((n, d), (m, d), (m, d)))
+    assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, mask, prefix=prefix, seed=n)
+
+
+def test_cached_step_attends_over_the_cached_full_width_kv(monkeypatch):
+    calls = []
+    original = T.attention
+
+    def attention(q, k, v, n_heads, mask=None):
+        calls.append((q, k, v, n_heads, mask))
+        return original(q, k, v, n_heads, mask)
+
+    monkeypatch.setattr(T, "attention", attention)
+    backbone = Backbone(config(prompt_len=2), seed=16)
+    rng = np.random.default_rng(17)
+    backbone.guidance.set_values({p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()})
+    h_en = backbone.encode([1, 2, 3, 4, 5])
+    rows = rng.normal(size=(4, 8))
+    cache = DecoderCache()
+    backbone.decode_states(h_en, Tensor(rows[:3].copy()), cache)
+    first = calls[-4:]
+    calls.clear()
+    backbone.decode_states(h_en, Tensor(rows[3:].copy()), cache)
+    assert len(calls) == 4  # self, cross for each of the 2 layers
+    for layer in range(2):
+        _, k, v, _, _ = calls[2 * layer]
+        assert k.data.shape == v.data.shape == (2 + 4, 8) and (k, v) == cache.self_kv[layer]
+        _, k, v, _, _ = calls[2 * layer + 1]
+        assert (k, v) == cache.cross_kv[layer] == first[2 * layer + 1][1:3]
+        assert k.data.shape == v.data.shape == (5, 8)
+    monkeypatch.undo()  # the exactness check below calls tensor.attention itself
+    for i, (q, k, v, n_heads, mask) in enumerate(calls):
+        assert q.data.shape == (1, 8) and n_heads == 2 and mask is None
+        assert_attention_is_bitwise_per_head(q.data, k.data, v.data, n_heads, mask, seed=i)
 
 
 def per_head_prefix_attention(backbone, stack, layer, x, phi, causal):

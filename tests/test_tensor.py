@@ -195,6 +195,15 @@ def test_finite_diff_reports_nonfinite_probes():
     assert ("p", 0) in rep.nonfinite
 
 
+def attention_probe(p, c):
+    # q, k and v all depend on p; 2 heads of width 2, the causal mask leaves
+    # the 2 prefix keys visible to both query rows
+    x = T.matmul(p.value, t(c["B"]))
+    k = T.concat([t(c["A24"]), x], axis=0)
+    v = T.concat([x, t(c["A24"])], axis=0)
+    return T.reduce_sum(T.mul(T.attention(x, k, v, 2, c["causal"]), t(c["C24"])))
+
+
 @pytest.mark.parametrize(
     "name,builder",
     [
@@ -210,6 +219,7 @@ def test_finite_diff_reports_nonfinite_probes():
         ("tanh", lambda p, c: T.reduce_sum(T.mul(T.tanh_act(p.value), t(c["C23"])))),
         ("concat_slice", lambda p, c: T.reduce_sum(T.mul(T.slice_rows(T.concat([p.value, t(c["A23"])], axis=0), 1, 3), t(c["C23"])))),
         ("masked_softmax", lambda p, c: T.reduce_sum(T.mul(T.softmax_rows(T.masked_fill(p.value, c["mask"])), t(c["C23"])))),
+        ("attention", attention_probe),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, builder):
@@ -224,6 +234,7 @@ def test_primitive_gradients_match_finite_differences(name, builder):
         "g": rng.normal(size=3) + 1.5,
         "b": rng.normal(size=3),
         "mask": np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "causal": np.array([[False, False, False, True], [False, False, False, False]]),
     }
     p = Parameter("p", rng.normal(size=(2, 3)))
     rep = finite_diff_check(lambda: builder(p, consts), [p], h=3e-5, tol=1e-5)
