@@ -179,18 +179,6 @@ class GuidanceModule:
             p.value.data = rng.normal(0.0, INIT_STD, p.value.data.shape)
             p.value.grad = None
 
-    def set_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            p = self._params.get(name)
-            if p is None:
-                raise ShapeError(f"no guidance slot named {name!r} in this model")
-            if p.value.data.shape != arr.shape:
-                raise ShapeError(
-                    f"guidance {name}: stored shape {arr.shape} does not match model shape {p.value.data.shape}"
-                )
-            p.value.data = np.array(arr, dtype=np.float64)
-            p.value.grad = None
-
 
 @dataclass
 class DecoderCache:

@@ -10,6 +10,9 @@ equal bytes, and loading then saving is the identity.
 A prompt file carries the guidance matrices AND the verbalizer, so one
 file is a complete task adapter for any checkpoint with a matching
 architecture.
+
+Stored arrays enter a model one way, ``install_arrays``: every parameter
+slot must be present at its shape, and nothing is written until all are.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .backbone import Backbone, ModelConfig
 from .data import Vocab
 from .errors import ChecksumError, FieldMismatchError, FormatError, VersionError
 from .head import LcHead, NerModel, Verbalizer
+from .tensor import Parameter
 
 FORMAT_VERSION = 1
 
@@ -150,6 +154,22 @@ def check_fields(what: str, expected: Mapping, found: Mapping) -> None:
         raise FieldMismatchError(f"{what}: " + "; ".join(diffs))
 
 
+def install_arrays(what: str, params: Sequence[Parameter], arrays: Mapping[str, np.ndarray]) -> None:
+    """Copy stored arrays into parameters by name, all or none.
+
+    The name->shape maps must match exactly (check_fields); only then is
+    each array copied in as float64 and its parameter's gradient cleared.
+    """
+    check_fields(
+        what,
+        {p.name: p.value.data.shape for p in params},
+        {name: arr.shape for name, arr in arrays.items()},
+    )
+    for p in params:
+        p.value.data = np.array(arrays[p.name], dtype=np.float64)
+        p.value.grad = None
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -186,14 +206,7 @@ def load_checkpoint(path: str | Path) -> tuple[NerModel, dict]:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: checkpoint meta does not describe a model ({exc})") from None
     model = NerModel(backbone, vocab, verbalizer)
-    check_fields(
-        f"{path}: stored parameters do not fit the stored config",
-        {p.name: tuple(p.value.data.shape) for p in model.parameters()},
-        {name: tuple(arr.shape) for name, arr in arrays.items()},
-    )
-    for p in model.parameters():
-        p.value.data = arrays[p.name].copy()
-        p.value.grad = None
+    install_arrays(f"{path}: stored parameters do not fit the stored config", model.parameters(), arrays)
     return model, meta
 
 
@@ -251,14 +264,7 @@ class PromptFile:
 
 def prompt_from_model(model: NerModel) -> PromptFile:
     guidance = model.backbone.guidance
-    phi = {}
-    for stack, layers in guidance.guided.items():
-        for layer in layers:
-            pair = guidance.pair(stack, layer)
-            if pair is None:
-                continue
-            phi[f"{stack}.layer{layer}.phi_k"] = pair[0].data.copy()
-            phi[f"{stack}.layer{layer}.phi_v"] = pair[1].data.copy()
+    phi = {p.name[len("guidance."):]: p.value.data.copy() for p in guidance.parameters()}
     verb = model.verbalizer
     return PromptFile(
         d_model=model.config.d_model,
@@ -310,14 +316,13 @@ def apply_prompt(model: NerModel, prompt: PromptFile) -> Verbalizer:
         policy=prompt.beta_policy,
         mapping=dict(prompt.mapping),
     )
-    check_fields(
-        "verbalizer raw weight shapes: label-word mapping vs stored",
-        {cat: verbalizer.raw_weights(cat).value.data.shape for cat in verbalizer.categories},
-        {cat: arr.shape for cat, arr in prompt.raw.items()},
+    arrays = {f"guidance.{name}": arr for name, arr in prompt.phi.items()}
+    arrays.update({f"verbalizer.raw.{cat}": arr for cat, arr in prompt.raw.items()})
+    install_arrays(
+        "prompt arrays do not fit this model's guidance slots and label words",
+        model.backbone.guidance.parameters() + verbalizer.parameters(),
+        arrays,
     )
-    model.backbone.guidance.set_values({f"guidance.{name}": arr for name, arr in prompt.phi.items()})
-    for cat in verbalizer.categories:
-        verbalizer.raw_weights(cat).value.data = prompt.raw[cat].copy()
     model.verbalizer = verbalizer
     return verbalizer
 
@@ -335,8 +340,11 @@ def mix_prompts(prompts: Sequence[PromptFile]) -> PromptFile:
     first = prompts[0]
     for other in prompts[1:]:
         check_fields("prompts are not mixable", first.signature(), other.signature())
-        if set(other.phi) != set(first.phi):
-            raise FieldMismatchError("prompts are not mixable: guidance slot sets differ")
+        check_fields(
+            "prompts are not mixable: guidance slots differ",
+            {name: arr.shape for name, arr in first.phi.items()},
+            {name: arr.shape for name, arr in other.phi.items()},
+        )
 
     phi = {name: sum(p.phi[name] for p in prompts) / len(prompts) for name in first.phi}
     categories = tuple(sorted(set().union(*(p.categories for p in prompts))))
@@ -374,18 +382,14 @@ def load_lc_head(path: str | Path, categories: Sequence[str], d_model: int) -> L
     """Load a classifier head for a category set; shape mismatches are fatal.
 
     The stored W is (d, 2*m1+1) and the requested head is (d, 2*m2+1); if
-    those differ the load is rejected naming both shapes, because a BIO
-    classifier cannot be transplanted across tag sets.
+    those differ the load is rejected naming both shapes and both tag
+    lists, because a BIO classifier cannot be transplanted across tag sets.
     """
     meta, arrays = _read_container(path, "lc-head")
     head = LcHead(d_model, categories)
-    stored_shape = tuple(arrays["W"].shape)
-    wanted_shape = tuple(head.W.value.data.shape)
-    if stored_shape != wanted_shape:
-        raise FieldMismatchError(
-            f"stored classifier W has shape {stored_shape} for tags {meta['tags']}, "
-            f"but this head needs shape {wanted_shape} for tags {list(head.tags)}"
-        )
-    head.W.value.data = arrays["W"].copy()
-    head.b.value.data = arrays["b"].copy()
+    install_arrays(
+        f"{path}: stored classifier for tags {meta.get('tags')} does not fit a head for tags {list(head.tags)}",
+        head.parameters(),
+        {f"lc.{name}": arr for name, arr in arrays.items()},
+    )
     return head

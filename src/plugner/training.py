@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -286,7 +286,6 @@ def run_training(
     seed: int,
     eval_every: int | None = None,
     f1_target: float | None = None,
-    on_eval: Callable[[int, float, float], None] | None = None,
 ) -> TrainResult:
     """Drive an optimizer over shuffled batches until its step budget is spent.
 
@@ -325,8 +324,6 @@ def run_training(
         f1 = corpus_f1(model, dev)
         result.history.append((step, mean_loss, f1))
         result.final_f1 = f1
-        if on_eval is not None:
-            on_eval(step, mean_loss, f1)
         return f1_target is not None and f1 >= f1_target
 
     while optimizer.step_count < cfg.total_steps:

@@ -27,6 +27,12 @@ def config(prompt_len=0, **kw):
     return ModelConfig(**base)
 
 
+def set_guidance(backbone, values):
+    """Overwrite the named guidance slots; slots not named keep their values."""
+    for name, arr in values.items():
+        backbone.guidance.param(name).value.data = np.array(arr, dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 # an independent plain-numpy mirror of the vanilla (|P|=0) encoder
 
@@ -116,7 +122,8 @@ def test_value_row_degeneracy_with_single_token():
     w = {name: p.value.data for name, p in guided.iter_params().items()}
     x0 = w["embed.tokens"][ids] + w["embed.enc_pos"][:1]
     v_row = x0 @ w["encoder.layer0.attn.Wv"] + w["encoder.layer0.attn.bv"]
-    guided.guidance.set_values(
+    set_guidance(
+        guided,
         {
             "guidance.encoder.layer0.phi_k": np.full((1, 8), 0.3),
             "guidance.encoder.layer0.phi_v": v_row,
@@ -135,8 +142,8 @@ def test_guided_attention_matches_straight_line_oracle():
     rng = np.random.default_rng(1)
     phi_k = rng.normal(size=(1, 4))
     phi_v = rng.normal(size=(1, 4))
-    backbone.guidance.set_values(
-        {"guidance.encoder.layer0.phi_k": phi_k, "guidance.encoder.layer0.phi_v": phi_v}
+    set_guidance(
+        backbone, {"guidance.encoder.layer0.phi_k": phi_k, "guidance.encoder.layer0.phi_v": phi_v}
     )
     x = rng.normal(size=(2, 4))
 
@@ -265,7 +272,7 @@ def test_cached_step_attends_over_the_cached_full_width_kv(monkeypatch):
     monkeypatch.setattr(T, "attention", attention)
     backbone = Backbone(config(prompt_len=2), seed=16)
     rng = np.random.default_rng(17)
-    backbone.guidance.set_values({p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()})
+    set_guidance(backbone, {p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()})
     h_en = backbone.encode([1, 2, 3, 4, 5])
     rows = rng.normal(size=(4, 8))
     cache = DecoderCache()
@@ -329,7 +336,7 @@ def test_full_width_prefix_is_bitwise_the_per_head_prefix(prompt_len, causal, n)
         backbone.param(f"decoder.layer0.attn.{name}").value.data = rng.normal(size=(8, 8)) / math.sqrt(8)
     for name in ("bq", "bk", "bv", "bo"):
         backbone.param(f"decoder.layer0.attn.{name}").value.data = rng.normal(size=8)
-    backbone.guidance.set_values({p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()})
+    set_guidance(backbone, {p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()})
     x0 = rng.normal(size=(n, 8))
     watched = [f"decoder.layer0.attn.{name}" for name in ("Wq", "Wk", "Wv", "Wo")]
     watched += [f"guidance.decoder.layer0.{name}" for name in ("phi_k", "phi_v") if prompt_len]
@@ -367,7 +374,8 @@ def test_zeroed_guidance_differs_from_no_guidance():
     # a zero prefix still absorbs attention mass: exp(0) rows in the softmax
     plain = Backbone(config(prompt_len=0, enc_layers=1, dec_layers=1), seed=13)
     zeroed = Backbone(config(prompt_len=2, enc_layers=1, dec_layers=1), seed=13)
-    zeroed.guidance.set_values(
+    set_guidance(
+        zeroed,
         {
             name: np.zeros((2, 8))
             for name in (
@@ -464,8 +472,8 @@ def test_cached_decoding_matches_teacher_forcing(prompt_len, mode, n_heads, leng
     rng = np.random.default_rng(seed)
     if prompt_len:
         # guidance at a generic scale, so prefix rows carry real attention mass
-        backbone.guidance.set_values(
-            {p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()}
+        set_guidance(
+            backbone, {p.name: rng.normal(size=p.value.data.shape) for p in backbone.guidance.parameters()}
         )
     h_en = backbone.encode([int(i) for i in rng.integers(0, 20, size=int(rng.integers(1, 13)))])
     rows = rng.normal(size=(length, 8))

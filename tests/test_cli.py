@@ -14,7 +14,7 @@ from plugner.backbone import Backbone, ModelConfig
 from plugner.cli import main
 from plugner.data import Vocab, read_column_file
 from plugner.head import NerModel, Verbalizer
-from plugner.persist import load_prompt, save_prompt, prompt_from_model
+from plugner.persist import load_checkpoint, load_prompt, save_prompt, prompt_from_model
 
 
 TINY_CFG = """\
@@ -180,10 +180,17 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
          2, "FORMAT_ERROR: {malformed_null}:2: bad prediction row"),
         (["mix-prompts", "{huge}", "{huge}", "--out", "{tmp}/m.prompt"],
          2, "CHECKSUM_MISMATCH: {huge}: payload shorter than its manifest"),
+        (["decode", "--checkpoint", "{ckpt}", "--prompt", "{slotless}", "--input", "{src}", "--out", "{tmp}/p.jsonl"],
+         2, "CONFIG_MISMATCH: prompt arrays do not fit this model's guidance slots and label words: "
+            "guidance.encoder.layer0.phi_k: expected (2, 8), found None"),
+        (["mix-prompts", "{tiny}", "{reshaped}", "--out", "{tmp}/m.prompt"],
+         2, "CONFIG_MISMATCH: prompts are not mixable: guidance slots differ: "
+            "decoder.layer0.phi_v: expected (2, 8), found (1, 8)"),
     ],
     ids=["pretrain-empty", "pretrain-all-O", "tune-empty", "tune-all-O", "sample-k-0", "sample-k-neg",
          "gen-synth-n-neg", "seed-neg", "gradcheck-h-1", "config-not-utf8", "corpus-not-utf8",
-         "spec-not-utf8", "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "prompt-huge-shape"],
+         "spec-not-utf8", "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "prompt-huge-shape",
+         "decode-prompt-missing-slot", "mix-reshaped-slot"],
 )
 def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, argv, code, prefix):
     # a separate process, so an escaping exception shows up as a traceback on stderr
@@ -195,7 +202,20 @@ def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, a
     (tmp_path / "malformed_null.jsonl").write_text(f'{row}}}\n{row}, "malformed": null}}\n')
     names = {"tmp": str(tmp_path), **{path.stem: str(path) for path in tmp_path.iterdir()}}
     if "{ckpt}" in argv:
-        names["ckpt"] = str(request.getfixturevalue("tiny_ckpt")[0])
+        ckpt, corpus = request.getfixturevalue("tiny_ckpt")
+        names.update(ckpt=str(ckpt), src=str(corpus))
+    if "{slotless}" in argv:
+        prompt = prompt_from_model(load_checkpoint(ckpt)[0])
+        del prompt.phi["encoder.layer0.phi_k"]
+        names["slotless"] = str(tmp_path / "slotless.prompt")
+        save_prompt(names["slotless"], prompt)
+    if "{reshaped}" in argv:
+        prompt = prompt_from_model(tiny_model())
+        names["tiny"] = str(tmp_path / "tiny.prompt")
+        save_prompt(names["tiny"], prompt)
+        prompt.phi["decoder.layer0.phi_v"] = prompt.phi["decoder.layer0.phi_v"][:1]
+        names["reshaped"] = str(tmp_path / "reshaped.prompt")
+        save_prompt(names["reshaped"], prompt)
     if "{huge}" in argv:
         # 2**32 x 2**32 elements: an int64 count wraps to 0
         names["huge"] = str(tmp_path / "huge.prompt")

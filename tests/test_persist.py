@@ -1,9 +1,13 @@
 """Checkpoint, prompt, and classifier-head files: round trips and rejections."""
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plugner.backbone import Backbone, ModelConfig
 from plugner.data import Vocab
@@ -51,6 +55,43 @@ def rewrite_header(path: Path, mutate) -> None:
     header = json.loads(header_line)
     mutate(header)
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def drop_array(path: Path, name: str) -> None:
+    """Rewrite a container without one named array; the checksum is made to match."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    kept, chunks, offset = [], [], 0
+    for entry in header["manifest"]:
+        nbytes = math.prod(entry["shape"]) * 8
+        if entry["name"] != name:
+            kept.append(entry)
+            chunks.append(payload[offset : offset + nbytes])
+        offset += nbytes
+    payload = b"".join(chunks)
+    header.update(manifest=kept, payload_sha256=hashlib.sha256(payload).hexdigest())
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def snapshot(model):
+    return {p.name: p.value.data.tobytes() for p in model.parameters()}
+
+
+def shifted_donor():
+    """A model whose every array differs from build_model(seed=2), the usual host."""
+    donor = build_model(seed=1)
+    for p in donor.parameters():
+        p.value.data = p.value.data + 0.5
+    return donor
+
+
+def assert_prompt_refused(host, prompt, match):
+    before, verbalizer = snapshot(host), host.verbalizer
+    with pytest.raises(FieldMismatchError, match=match):
+        apply_prompt(host, prompt)
+    # a refused prompt leaves the model as it was, bit for bit
+    assert host.verbalizer is verbalizer
+    assert snapshot(host) == before
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +269,41 @@ def test_apply_prompt_rejects_architecture_mismatch():
         apply_prompt(host, prompt_from_model(donor))
 
 
-def test_apply_prompt_rejects_raw_width_mismatch():
-    donor = build_model(seed=1)
-    host = build_model(seed=2)
-    before = {p.name: p.value.data.copy() for p in host.parameters()}
-    prompt = prompt_from_model(donor)
+def _widen_raw(prompt):
     prompt.raw["color"] = np.zeros((1, 3))
-    with pytest.raises(FieldMismatchError, match="color"):
-        apply_prompt(host, prompt)
-    # a refused prompt leaves the model as it was
-    for p in host.parameters():
-        np.testing.assert_array_equal(p.value.data, before[p.name])
+
+
+def _drop_raw(prompt):
+    del prompt.raw["color"]
+
+
+def _drop_phi(prompt):
+    del prompt.phi["encoder.layer0.phi_k"]
+
+
+def _add_phi(prompt):
+    prompt.phi["encoder.layer7.phi_k"] = np.zeros((2, 8))
+
+
+def _reshape_phi(prompt):
+    prompt.phi["decoder.layer0.phi_v"] = prompt.phi["decoder.layer0.phi_v"][:1]
+
+
+@pytest.mark.parametrize(
+    "edit, entry",
+    [
+        (_widen_raw, "verbalizer.raw.color"),
+        (_drop_raw, "verbalizer.raw.color"),
+        (_drop_phi, "guidance.encoder.layer0.phi_k"),
+        (_add_phi, "guidance.encoder.layer7.phi_k"),
+        (_reshape_phi, "guidance.decoder.layer0.phi_v"),
+    ],
+    ids=["raw-width", "missing-raw", "missing-slot", "extra-slot", "reshaped-slot"],
+)
+def test_apply_prompt_rejects_raw_width_mismatch(edit, entry):
+    prompt = prompt_from_model(shifted_donor())
+    edit(prompt)
+    assert_prompt_refused(build_model(seed=2), prompt, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +362,10 @@ def test_mix_rejects_incompatible_prompts():
     b = prompt_from_model(build_model(seed=1, prompt_len=4))
     with pytest.raises(FieldMismatchError, match="prompt_len"):
         mix_prompts([a, b])
+    reshaped = prompt_from_model(build_model(seed=2, prompt_len=2))
+    _reshape_phi(reshaped)
+    with pytest.raises(FieldMismatchError, match=r"decoder\.layer0\.phi_v: expected \(2, 8\), found \(1, 8\)"):
+        mix_prompts([a, reshaped])
     with pytest.raises(ValueError, match="at least one"):
         mix_prompts([])
 
@@ -333,3 +402,64 @@ def test_lc_head_rejects_different_tag_set(tmp_path):
     message = str(err.value)
     assert "(8, 9)" in message and "(8, 11)" in message
     assert "B-E" in message and "B-A" in message
+
+
+def test_lc_head_rejects_wrong_bias_length(tmp_path):
+    head = LcHead(8, ("A", "B"), seed=0)
+    head.b.value.data = np.zeros(head.n_tags + 1)
+    path = tmp_path / "head.lc"
+    save_lc_head(path, head)
+    with pytest.raises(FieldMismatchError, match=r"lc\.b: expected \(5,\), found \(6,\)"):
+        load_lc_head(path, ("A", "B"), d_model=8)
+
+
+def test_lc_head_rejects_a_file_without_w(tmp_path):
+    path = tmp_path / "head.lc"
+    save_lc_head(path, LcHead(8, ("A", "B"), seed=0))
+    drop_array(path, "W")
+    with pytest.raises(FieldMismatchError, match=r"lc\.W: expected \(8, 5\), found None"):
+        load_lc_head(path, ("A", "B"), d_model=8)
+
+
+# ---------------------------------------------------------------------------
+# property: a prompt either fits every slot or changes nothing
+
+PHI_SLOTS = ("encoder.layer0.phi_k", "encoder.layer0.phi_v", "decoder.layer0.phi_k", "decoder.layer0.phi_v")
+# every entry of a prompt for build_model(), plus one guidance slot and one category it lacks
+ENTRIES = [f"phi.{slot}" for slot in PHI_SLOTS + ("decoder.layer1.phi_k",)]
+ENTRIES += [f"raw.{cat}" for cat in LABELS + ("fruit",)]
+SHAPES = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3).map(tuple)
+
+
+@settings(deadline=None, max_examples=60)
+@given(edits=st.dictionaries(st.sampled_from(ENTRIES), st.one_of(st.none(), SHAPES), max_size=4))
+def test_edited_prompt_installs_whole_or_not_at_all(edits):
+    # edits: entry -> None (drop it) or a shape (store an array of that shape under it)
+    donor = shifted_donor()
+    prompt = prompt_from_model(donor)
+    edited = prompt_from_model(donor)
+    for entry, shape in edits.items():
+        table = edited.phi if entry.startswith("phi.") else edited.raw
+        if shape is None:
+            table.pop(entry[4:], None)
+        else:
+            table[entry[4:]] = np.full(shape, 0.25)
+
+    def shapes(p):
+        return {**{f"phi.{k}": v.shape for k, v in p.phi.items()}, **{f"raw.{k}": v.shape for k, v in p.raw.items()}}
+
+    host = build_model(seed=2)
+    if shapes(edited) == shapes(prompt):
+        verbalizer = apply_prompt(host, edited)
+        for name, arr in edited.phi.items():
+            assert host.backbone.guidance.param(f"guidance.{name}").value.data.tobytes() == arr.tobytes()
+        for cat, arr in edited.raw.items():
+            assert verbalizer.raw_weights(cat).value.data.tobytes() == arr.tobytes()
+    else:
+        assert_prompt_refused(host, edited, "prompt arrays do not fit")
+
+    for pair in ([prompt, edited], [edited, prompt]):
+        try:
+            mix_prompts(pair)
+        except FieldMismatchError:
+            pass
