@@ -112,6 +112,8 @@ class ModelConfig:
             )
         if self.enc_layers < 1 or self.dec_layers < 1:
             raise ValueError("encoder and decoder need at least one layer each")
+        if self.ffn_dim < 1:
+            raise ValueError(f"ffn_dim must be positive, got {self.ffn_dim}")
         if self.prompt_len < 0:
             raise ValueError(f"prompt_len must be >= 0, got {self.prompt_len}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -44,6 +44,7 @@ from .tensor import FD_STEP_RANGE
 from .training import (
     OptimizerConfig,
     decode_corpus,
+    eval_cadence,
     guidance_gradcheck,
     param_ratio,
     pretrain_backbone,
@@ -114,9 +115,10 @@ def model_config_from(cfg: dict, path: str | None, base: dict) -> ModelConfig:
 def optimizer_config_from(
     cfg: dict, path: str | None, n_sentences: int, default_epochs: int, default_lr: float
 ) -> OptimizerConfig:
-    """The file's optimizer keys; every key it leaves out keeps OptimizerConfig's default."""
+    """The file's optimizer keys, each missing one at OptimizerConfig's default; eval_every is checked too."""
     with _invalid_is_usage_error(path):
         config = OptimizerConfig(**{"peak_lr": default_lr, **{k: cfg[k] for k in _OPTIMIZER_KEYS if k in cfg}})
+        eval_cadence(cfg.get("eval_every"), n_sentences, config.batch_size)
         epochs = cfg.get("epochs", default_epochs)
         steps = cfg.get("total_steps") or steps_for_epochs(n_sentences, epochs, config.batch_size)
         return replace(config, total_steps=steps)

@@ -8,7 +8,7 @@ category is a learnable convex mixture of label-word embedding rows, so
 adding a category never changes any backbone shape. Index y names row y
 of two per-sentence tables, ``score_keys`` (what a decoder state is
 scored against) and ``feedback_rows`` (what is fed back after emitting
-y); teacher forcing and greedy decoding share both.
+y); teacher forcing and greedy decoding each build both once per sentence.
 """
 from __future__ import annotations
 
@@ -57,6 +57,13 @@ class IndexSpace:
         if not 0 <= y <= self.n + self.m:
             raise ValueError(f"index {y} outside the space 0..{self.n + self.m} (n={self.n}, m={self.m})")
         return y
+
+    def fed_back(self, prefix: Sequence[int]) -> list[int]:
+        """The ``feedback_rows`` rows a teacher-forced decoder reads: 0, then each prefix index (not eos)."""
+        for y in prefix:
+            if self.check(y) == self.EOS:
+                raise ValueError("eos (index 0) is never fed back into the decoder")
+        return [0, *prefix]
 
 
 class Verbalizer:
@@ -216,15 +223,11 @@ def step_distribution(
 
 
 def decoder_inputs(model: NerModel, token_ids: Sequence[int], prefix: Sequence[int]) -> Tensor:
-    """The start row plus the ``feedback_rows`` row of every prefix index, for teacher forcing."""
+    """The start row plus the ``feedback_rows`` row of every prefix index, from tables of its own."""
     verbalizer = model.verbalizer
-    space = IndexSpace(len(token_ids), len(verbalizer))
-    for y in prefix:
-        space.check(y)
-        if y == IndexSpace.EOS:
-            raise ValueError("eos (index 0) is never fed back into the decoder")
-    rows = feedback_rows(model.backbone.embed_tokens(token_ids), verbalizer, verbalizer.rep_matrix())
-    return T.gather_rows(rows, [0, *prefix])
+    rows = IndexSpace(len(token_ids), len(verbalizer)).fed_back(prefix)
+    table = feedback_rows(model.backbone.embed_tokens(token_ids), verbalizer, verbalizer.rep_matrix())
+    return T.gather_rows(table, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training: loss, schedule, optimizer, and the pretrain / tune phases.
+"""Training: loss, schedule, optimizer, the one batch loop, and the pretrain / tune phases.
 
 Two modes exist. "full" trains everything and is used to pretrain the
 backbone on a source domain. "guidance_only" freezes the backbone and
@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,9 +25,11 @@ from .head import (
     IndexSpace,
     NerModel,
     Verbalizer,
-    decoder_inputs,
+    decoder_inputs,  # unused here, like step_scores; perfbench/tracer.py rebinds both names in this module
+    feedback_rows,
     greedy_decode,
     indices_from_spans,
+    score_keys,
     spans_from_indices,
     step_scores,
 )
@@ -126,8 +129,8 @@ class AdamW:
 # parameter partitioning
 
 
-def partition_parameters(model: NerModel, mode: str) -> tuple[list[Parameter], list[Parameter]]:
-    """Split (and flag) the model's parameters into (trainable, frozen).
+def _split_parameters(model: NerModel, mode: str) -> tuple[list[Parameter], list[Parameter]]:
+    """The model's parameters as (trainable, frozen) under a mode; no flag is touched.
 
     guidance_only keeps exactly the guidance matrices and the
     verbalizer's raw weights live; a uniform-policy verbalizer has
@@ -135,20 +138,20 @@ def partition_parameters(model: NerModel, mode: str) -> tuple[list[Parameter], l
     """
     if mode not in TRAINING_MODES:
         raise ValueError(f"training mode must be one of {TRAINING_MODES}, got {mode!r}")
+    live = ("guidance.", "verbalizer.") if model.verbalizer.policy == "learned" else ("guidance.",)
     trainable: list[Parameter] = []
     frozen: list[Parameter] = []
-    learn_verbalizer = model.verbalizer.policy == "learned"
     for p in model.parameters():
-        if mode == "full":
-            live = True
-        elif p.name.startswith("guidance."):
-            live = True
-        elif p.name.startswith("verbalizer."):
-            live = learn_verbalizer
-        else:
-            live = False
-        p.trainable = live
-        (trainable if live else frozen).append(p)
+        (trainable if mode == "full" or p.name.startswith(live) else frozen).append(p)
+    return trainable, frozen
+
+
+def partition_parameters(model: NerModel, mode: str) -> tuple[list[Parameter], list[Parameter]]:
+    """Split the model's parameters into (trainable, frozen) and set each one's flag to match."""
+    trainable, frozen = _split_parameters(model, mode)
+    for live, group in ((True, trainable), (False, frozen)):
+        for p in group:
+            p.trainable = live
     return trainable, frozen
 
 
@@ -181,8 +184,8 @@ class ParamReport:
 
 
 def param_ratio(model: NerModel, mode: str) -> ParamReport:
-    """Count trainable vs total parameters for a mode, as an exact fraction."""
-    trainable, frozen = partition_parameters(model, mode)
+    """Count trainable vs total parameters for a mode, as an exact fraction; no flag is changed."""
+    trainable, frozen = _split_parameters(model, mode)
     n_train = sum(p.numel() for p in trainable)
     n_total = n_train + sum(p.numel() for p in frozen)
     guidance = sum(p.numel() for p in model.backbone.guidance.parameters())
@@ -205,27 +208,35 @@ def param_ratio(model: NerModel, mode: str) -> ParamReport:
 # loss
 
 
+def nll(scores: Tensor, targets: Sequence[int]) -> Tensor:
+    """Summed negative log-likelihood of column targets[i] under the softmax of row i of scores."""
+    logp = T.log_softmax_rows(scores)
+    onehot = np.zeros(logp.data.shape)
+    onehot[np.arange(len(targets)), list(targets)] = 1.0
+    return T.scale(T.reduce_sum(T.mul(logp, Tensor(onehot))), -1.0)
+
+
 def sequence_loss(model: NerModel, token_ids: Sequence[int], gold: Sequence[int]) -> Tensor:
     """Teacher-forced negative log-likelihood of a gold index sequence.
 
     The decoder consumes the gold prefix and every step's distribution is
     scored against the next gold index, the terminator included. Returns
-    the summed loss (divide by len(gold) for the per-step mean).
+    the summed loss (divide by len(gold) for the per-step mean). Both
+    tables are built once, as in greedy decoding; the score keys come after
+    the decoder so that gradients sum into ``h_en`` in the same order.
     """
     if not gold:
         raise ValueError("gold index sequence is empty (expected at least the terminator)")
-    # decoder_inputs checks the fed-back prefix; the last index is only scored
-    IndexSpace(len(token_ids), len(model.verbalizer)).check(gold[-1])
-    h_en = model.backbone.encode(token_ids)
-    e_seq = model.backbone.embed_tokens(token_ids)
-    inputs = decoder_inputs(model, token_ids, gold[:-1])
-    states = model.backbone.decode_states(h_en, inputs)
-    scores = step_scores(h_en, e_seq, states, model.verbalizer, model.config.alpha)
-    logp = T.log_softmax_rows(scores)
-    onehot = np.zeros(logp.data.shape)
-    onehot[np.arange(len(gold)), list(gold)] = 1.0
-    picked = T.mul(logp, Tensor(onehot))
-    return T.scale(T.reduce_sum(picked), -1.0)
+    space = IndexSpace(len(token_ids), len(model.verbalizer))
+    space.check(gold[-1])  # the last index is only scored, never fed back
+    rows = space.fed_back(gold[:-1])
+    backbone, verbalizer = model.backbone, model.verbalizer
+    h_en = backbone.encode(token_ids)
+    e_seq = backbone.embed_tokens(token_ids)
+    reps = verbalizer.rep_matrix()
+    states = backbone.decode_states(h_en, T.gather_rows(feedback_rows(e_seq, verbalizer, reps), rows))
+    keys = score_keys(h_en, e_seq, verbalizer, model.config.alpha, reps)
+    return nll(T.matmul(states, T.transpose(keys)), gold)
 
 
 def gold_indices(model: NerModel, sentence) -> tuple[list[int], list[int]]:
@@ -253,9 +264,7 @@ def decode_corpus(model: NerModel, corpus: Corpus) -> tuple[list[list], list[int
             malformed.append(0)
             continue
         result = greedy_decode(model, model.vocab.encode(sent.tokens))
-        parse = spans_from_indices(
-            result.indices, len(sent.tokens), model.verbalizer.categories
-        )
+        parse = spans_from_indices(result.indices, len(sent.tokens), model.verbalizer.categories)
         predictions.append(parse.spans)
         malformed.append(parse.malformed)
     return predictions, malformed
@@ -268,6 +277,46 @@ def corpus_f1(model: NerModel, corpus: Corpus) -> float:
 
 # ---------------------------------------------------------------------------
 # the training loop
+
+
+def optimizer_steps(
+    optimizer: AdamW, examples: Sequence[tuple], loss_fn: Callable[..., Tensor], seed: int
+) -> Iterator[float]:
+    """Step the optimizer over batches shuffled from ``seed`` until its budget is spent.
+
+    Each (inputs, targets) example's summed loss ``loss_fn(inputs, targets)`` is backpropagated on
+    its own tape; gradients are averaged over the batch before each step, after which the batch's
+    mean loss per target is yielded. A non-finite loss aborts, naming the last finite step.
+    """
+    if not examples:
+        raise ValueError("training corpus is empty")
+    batch_size, total_steps = optimizer.config.batch_size, optimizer.config.total_steps
+    rng = np.random.default_rng(seed)
+    while optimizer.step_count < total_steps:
+        order = rng.permutation(len(examples))
+        for lo in range(0, len(order), batch_size):
+            batch = order[lo : lo + batch_size]
+            optimizer.zero_grad()
+            batch_loss = 0.0
+            for idx in batch:
+                inputs, targets = examples[int(idx)]
+                with record() as tape:
+                    loss = loss_fn(inputs, targets)
+                value = float(loss.data)
+                if not math.isfinite(value):
+                    raise DivergedError(
+                        f"non-finite loss at step {optimizer.step_count + 1}; "
+                        f"last finite step was {optimizer.step_count}"
+                    )
+                tape.backward(loss)
+                batch_loss += value / len(targets)
+            for p in optimizer.params:
+                if p.value.grad is not None:
+                    p.value.grad /= len(batch)
+            optimizer.step()
+            yield batch_loss / len(batch)
+            if optimizer.step_count >= total_steps:
+                return
 
 
 @dataclass
@@ -287,19 +336,14 @@ def run_training(
     eval_every: int | None = None,
     f1_target: float | None = None,
 ) -> TrainResult:
-    """Drive an optimizer over shuffled batches until its step budget is spent.
+    """Teacher-forced training through ``optimizer_steps``, with dev evaluation around it.
 
-    Per-sentence losses are backpropagated on separate tapes; parameter
-    gradients accumulate across a batch and are averaged before the step.
     A sentence with more tokens or gold indices than max_len is refused
-    before the first step. A non-finite loss aborts with the last finite
-    step number in the error. Dev F1 is measured every ``eval_every``
-    steps (default: once per epoch) and reaching ``f1_target`` stops
+    before the first step. Dev F1 is measured every ``eval_cadence`` steps
+    and after the last; reaching ``f1_target`` on the cadence stops
     training early.
     """
     examples = [gold_indices(model, s) for s in train.sentences]
-    if not examples:
-        raise ValueError("training corpus is empty")
     max_len = model.config.max_len
     for i, (token_ids, gold) in enumerate(examples, start=1):
         if len(token_ids) > max_len or len(gold) > max_len:
@@ -307,62 +351,32 @@ def run_training(
                 f"training sentence {i} of {len(examples)} has {len(token_ids)} tokens and "
                 f"{len(gold)} gold indices; max_len {max_len} bounds both"
             )
-    rng = np.random.default_rng(seed)
-    cfg = optimizer.config
-    steps_per_epoch = max(1, math.ceil(len(examples) / cfg.batch_size))
-    cadence = eval_every if eval_every is not None else steps_per_epoch
-
+    cadence = eval_cadence(eval_every, len(examples), optimizer.config.batch_size)
     result = TrainResult(steps=0)
-    recent: list[float] = []
-    last_finite = 0
-
-    def maybe_eval(step: int) -> bool:
-        if dev is None:
-            return False
-        mean_loss = sum(recent) / max(1, len(recent))
+    recent: list[float] = []  # mean losses of the steps since the last evaluation
+    for mean_loss in optimizer_steps(optimizer, examples, partial(sequence_loss, model), seed):
+        result.steps = optimizer.step_count
+        recent.append(mean_loss)
+        if dev is None or (result.steps % cadence and result.steps < optimizer.config.total_steps):
+            continue
+        result.final_f1 = corpus_f1(model, dev)
+        result.history.append((result.steps, sum(recent) / len(recent), result.final_f1))
         recent.clear()
-        f1 = corpus_f1(model, dev)
-        result.history.append((step, mean_loss, f1))
-        result.final_f1 = f1
-        return f1_target is not None and f1 >= f1_target
-
-    while optimizer.step_count < cfg.total_steps:
-        order = rng.permutation(len(examples))
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            optimizer.zero_grad()
-            batch_loss = 0.0
-            for idx in batch:
-                token_ids, gold = examples[int(idx)]
-                with record() as tape:
-                    loss = sequence_loss(model, token_ids, gold)
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    raise DivergedError(
-                        f"non-finite loss at step {optimizer.step_count + 1}; "
-                        f"last finite step was {last_finite}"
-                    )
-                tape.backward(loss)
-                batch_loss += value / len(gold)
-            for p in optimizer.params:
-                if p.value.grad is not None:
-                    p.value.grad /= len(batch)
-            optimizer.step()
-            last_finite = optimizer.step_count
-            result.steps = optimizer.step_count
-            recent.append(batch_loss / len(batch))
-            if optimizer.step_count % cadence == 0 and maybe_eval(optimizer.step_count):
-                result.stopped_early = True
-                return result
-            if optimizer.step_count >= cfg.total_steps:
-                break
-    if dev is not None and (not result.history or result.history[-1][0] != result.steps):
-        maybe_eval(result.steps)
+        if result.steps % cadence == 0 and f1_target is not None and result.final_f1 >= f1_target:
+            result.stopped_early = True
+            break
     return result
 
 
 def steps_for_epochs(n_sentences: int, epochs: int, batch_size: int) -> int:
     return max(1, math.ceil(n_sentences / batch_size)) * max(1, epochs)
+
+
+def eval_cadence(eval_every: int | None, n_sentences: int, batch_size: int) -> int:
+    """Steps between dev evaluations: ``eval_every``, which must be at least 1, or else one epoch."""
+    if eval_every is not None and eval_every < 1:
+        raise ValueError(f"eval_every must be at least 1, got {eval_every}")
+    return eval_every or steps_for_epochs(n_sentences, 1, batch_size)
 
 
 def pretrain_backbone(
@@ -380,11 +394,8 @@ def pretrain_backbone(
     learned jointly. Stops early once dev F1 reaches the target.
     """
     model.replace_verbalizer(train.label_set, policy="learned")
-    trainable, _ = partition_parameters(model, "full")
-    optimizer = AdamW(trainable, optimizer_config)
-    return run_training(
-        model, train, dev, optimizer, seed=seed, eval_every=eval_every, f1_target=f1_target
-    )
+    optimizer = AdamW(partition_parameters(model, "full")[0], optimizer_config)
+    return run_training(model, train, dev, optimizer, seed=seed, eval_every=eval_every, f1_target=f1_target)
 
 
 def tune_guidance(
@@ -407,11 +418,8 @@ def tune_guidance(
     model.replace_verbalizer(train.label_set, policy="learned")
     if not warm_start:
         model.backbone.guidance.reinitialize(np.random.default_rng(seed))
-    trainable, _ = partition_parameters(model, "guidance_only")
-    optimizer = AdamW(trainable, optimizer_config)
-    return run_training(
-        model, train, dev, optimizer, seed=seed, eval_every=eval_every, f1_target=f1_target
-    )
+    optimizer = AdamW(partition_parameters(model, "guidance_only")[0], optimizer_config)
+    return run_training(model, train, dev, optimizer, seed=seed, eval_every=eval_every, f1_target=f1_target)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +443,12 @@ def train_lc_head(model: NerModel, head, corpus: Corpus, steps: int = 50, lr: fl
     for p in head.parameters():
         p.trainable = True
     optimizer = AdamW(head.parameters(), cfg)
-    rng = np.random.default_rng(seed)
-    while optimizer.step_count < steps:
-        order = rng.permutation(len(encoded))
-        for lo in range(0, len(order), cfg.batch_size):
-            optimizer.zero_grad()
-            batch = order[lo : lo + cfg.batch_size]
-            for idx in batch:
-                h_data, tag_ids = encoded[int(idx)]
-                with record() as tape:
-                    logits = T.add(T.matmul(Tensor(h_data), head.W.value), head.b.value)
-                    logp = T.log_softmax_rows(logits)
-                    onehot = np.zeros(logp.data.shape)
-                    onehot[np.arange(len(tag_ids)), tag_ids] = 1.0
-                    loss = T.scale(T.reduce_sum(T.mul(logp, Tensor(onehot))), -1.0)
-                tape.backward(loss)
-            for p in optimizer.params:
-                if p.value.grad is not None:
-                    p.value.grad /= len(batch)
-            optimizer.step()
-            if optimizer.step_count >= steps:
-                break
+
+    def loss_fn(h_data, tag_ids):
+        return nll(T.add(T.matmul(Tensor(h_data), head.W.value), head.b.value), tag_ids)
+
+    for _ in optimizer_steps(optimizer, encoded, loss_fn, seed):
+        pass
     return head
 
 

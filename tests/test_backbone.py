@@ -602,6 +602,9 @@ def test_config_validation():
         config(prompt_len=-1)
     with pytest.raises(ValueError):
         config(activation="relu6")
+    for ffn_dim in (0, -1):
+        with pytest.raises(ValueError, match="ffn_dim must be positive"):
+            config(ffn_dim=ffn_dim)
 
 
 def test_config_round_trips_through_dict():

@@ -101,7 +101,12 @@ def test_config_with_bad_number_is_rejected(tmp_path, capsys):
     ("pretrain", "n_heads = 3\nd_model = 8\n", "n_heads (3)"),
     ("pretrain", "guidance_mode = sideways\n", "'sideways'"),
     ("tune", "peak_lr = -1\n", "peak_lr must be positive"),
-], ids=["n_heads", "guidance_mode", "peak_lr"])
+    ("pretrain", "eval_every = 0\n", "eval_every must be at least 1, got 0"),
+    ("tune", "eval_every = -2\n", "eval_every must be at least 1, got -2"),
+    ("pretrain", "ffn_dim = -1\n", "ffn_dim must be positive, got -1"),
+    ("pretrain", "ffn_dim = 0\n", "ffn_dim must be positive, got 0"),
+], ids=["n_heads", "guidance_mode", "peak_lr", "eval_every-zero", "eval_every-negative", "ffn_dim-negative",
+        "ffn_dim-zero"])
 def test_config_with_invalid_value_is_rejected(tmp_path, capsys, tiny_ckpt, command, text, detail):
     ckpt, corpus = tiny_ckpt
     cfg = tmp_path / "bad.cfg"

@@ -1,16 +1,18 @@
 """Loss, schedule, optimizer behavior, and the two training phases."""
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from plugner import tensor as T
 from plugner.backbone import Backbone, LayerRange, ModelConfig
 from plugner.data import AnnotatedSentence, Corpus, DomainSpec, EntitySpan, synthetic_corpus, vocab_for_domains
 from plugner.errors import DivergedError, ShapeError
-from plugner.head import LcHead, NerModel, Verbalizer, lc_baseline_logits
+from plugner.head import LcHead, NerModel, Verbalizer, decoder_inputs, lc_baseline_logits, step_scores
 from plugner.persist import backbone_hash
-from plugner.tensor import Parameter, Tensor
+from plugner.tensor import Parameter, Tensor, record
 from plugner.training import (
     AdamW,
     OptimizerConfig,
@@ -43,8 +45,19 @@ PROBE = DomainSpec(
 )
 
 
-def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None, max_len=32):
-    vocab = vocab_for_domains([PROBE])
+# the same sentences with two label words per category
+PROBE_TWO_WORD = DomainSpec(
+    name="probe2",
+    categories={
+        "color.tone": PROBE.categories["color"],
+        "animal.kind": PROBE.categories["animal"],
+    },
+    templates=tuple(t.replace("{color}", "{color.tone}").replace("{animal}", "{animal.kind}") for t in PROBE.templates),
+)
+
+
+def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None, max_len=32, domain=PROBE):
+    vocab = vocab_for_domains([domain])
     config = ModelConfig(
         vocab_size=len(vocab),
         d_model=d_model,
@@ -57,7 +70,7 @@ def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None, max_len
         guidance=guided if guided is not None else LayerRange("all"),
     )
     backbone = Backbone(config, seed=seed)
-    verb = Verbalizer(PROBE.label_set, vocab, backbone.param("embed.tokens"))
+    verb = Verbalizer(domain.label_set, vocab, backbone.param("embed.tokens"))
     return NerModel(backbone, vocab, verb)
 
 
@@ -229,6 +242,15 @@ def test_param_ratio_partial_guidance_counts_guided_layers_only():
     assert report.guidance == 2 * (1 + 1) * 2 * 16
 
 
+@pytest.mark.parametrize("mode", ["full", "guidance_only"])
+def test_param_ratio_leaves_trainable_flags_unchanged(mode):
+    model = build_model()
+    partition_parameters(model, "guidance_only" if mode == "full" else "full")
+    before = {p.name: p.trainable for p in model.parameters()}
+    param_ratio(model, mode)
+    assert {p.name: p.trainable for p in model.parameters()} == before
+
+
 def test_param_ratio_zero_prompt_has_no_guidance():
     model = build_model(prompt_len=0)
     report = param_ratio(model, "guidance_only")
@@ -261,6 +283,61 @@ def test_sequence_loss_validates_gold():
         sequence_loss(model, [3, 4, 5], [])
     with pytest.raises(ValueError):
         sequence_loss(model, [3, 4, 5], [99])
+    with pytest.raises(ValueError, match="never fed back"):
+        sequence_loss(model, [3, 4, 5], [1, 0, 0])
+
+
+def reference_sequence_loss(model, token_ids, gold):
+    """The composition sequence_loss replaced: decoder_inputs and step_scores each build their own tables."""
+    h_en = model.backbone.encode(token_ids)
+    e_seq = model.backbone.embed_tokens(token_ids)
+    states = model.backbone.decode_states(h_en, decoder_inputs(model, token_ids, gold[:-1]))
+    logp = T.log_softmax_rows(step_scores(h_en, e_seq, states, model.verbalizer, model.config.alpha))
+    onehot = np.zeros(logp.data.shape)
+    onehot[np.arange(len(gold)), list(gold)] = 1.0
+    return T.scale(T.reduce_sum(T.mul(logp, Tensor(onehot))), -1.0)
+
+
+def test_sequence_loss_builds_each_table_once(monkeypatch):
+    model = build_model()
+    calls = Counter()
+    for owner, name in ((Verbalizer, "rep_matrix"), (Backbone, "embed_tokens")):
+        def counted(self, *args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(owner, name, counted)
+    token_ids, gold = gold_indices(model, synthetic_corpus(PROBE, 1, seed=4).sentences[0])
+    sequence_loss(model, token_ids, gold)
+    # one embed_tokens inside the encoder, one for the shared e_seq
+    assert calls == {"rep_matrix": 1, "embed_tokens": 2}
+
+
+@pytest.mark.parametrize("domain", [PROBE, PROBE_TWO_WORD], ids=["one-word", "two-word"])
+def test_sequence_loss_matches_the_reference_composition(domain):
+    model = build_model(seed=3, domain=domain)
+    rng = np.random.default_rng(5)
+    for p in model.parameters():  # generic weights, so no gradient hides near zero
+        if p.value.data.ndim == 2:
+            p.value.data[...] = rng.normal(0.0, 0.4, size=p.value.data.shape)
+    trainable, _ = partition_parameters(model, "guidance_only")
+    for sent in synthetic_corpus(domain, 4, seed=6).sentences:
+        token_ids, gold = gold_indices(model, sent)
+        results = []
+        for loss_fn in (sequence_loss, reference_sequence_loss):
+            for p in model.parameters():
+                p.value.grad = None
+            with record() as tape:
+                loss = loss_fn(model, token_ids, gold)
+            tape.backward(loss)
+            results.append((loss.data.copy(), {p.name: p.value.grad.copy() for p in trainable}))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert np.array_equal(loss, ref_loss)
+        for name, ref in ref_grads.items():
+            if name.startswith("guidance.") or ref.size == 1:  # a one-word beta has a zero gradient
+                assert np.array_equal(grads[name], ref), name
+            else:
+                assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+            assert ref.size == 1 or np.abs(ref).max() > 0, name
 
 
 def test_gold_indices_round_trip():
@@ -320,6 +397,15 @@ def test_training_refuses_overlong_sentences_before_the_first_step(overlong):
     assert opt.step_count == 0
     for p in model.parameters():
         np.testing.assert_array_equal(p.value.data, before[p.name])
+
+
+@pytest.mark.parametrize("eval_every", [0, -2])
+def test_run_training_refuses_eval_every_below_one(eval_every):
+    model = build_model()
+    opt = AdamW(partition_parameters(model, "full")[0], OptimizerConfig(total_steps=2))
+    with pytest.raises(ValueError, match="eval_every must be at least 1"):
+        run_training(model, tiny_corpus(2), tiny_corpus(2), opt, seed=1, eval_every=eval_every)
+    assert opt.step_count == 0
 
 
 def test_diverged_loss_raises_with_step_number():
