@@ -6,7 +6,7 @@ verbalizer that grounds category names in embedding space. Swapping or
 mixing those two pieces retargets the model to a new tag set without
 touching a single backbone weight.
 """
-from .backbone import Backbone, GuidanceModule, LayerRange, ModelConfig, select_guided_layers
+from .backbone import Backbone, GuidanceModule, ModelConfig, select_guided_layers
 from .data import (
     AnnotatedSentence,
     Corpus,

@@ -27,8 +27,8 @@ over all heads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -42,55 +42,32 @@ LAYER_RANGE_MODES = ("all", "lowest_k", "highest_k")
 ACTIVATIONS = {"gelu": T.gelu, "tanh": T.tanh_act}
 
 
-@dataclass(frozen=True)
-class LayerRange:
-    """Which layers of a stack receive guidance."""
-
-    mode: str = "all"
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in LAYER_RANGE_MODES:
-            raise ValueError(f"layer range mode must be one of {LAYER_RANGE_MODES}, got {self.mode!r}")
-        if self.mode != "all" and self.k < 1:
-            raise ValueError(f"layer range mode {self.mode!r} needs k >= 1, got {self.k}")
-
-
-def select_guided_layers(layer_range: LayerRange, depth: int) -> tuple[int, ...]:
-    """Resolve a LayerRange against a stack depth; 0 is the layer nearest the input."""
+def select_guided_layers(mode: str, k: int, depth: int) -> tuple[int, ...]:
+    """The guided layers of a stack: all, or the lowest / highest k (1 <= k <= depth); 0 is nearest the input."""
+    if mode not in LAYER_RANGE_MODES:
+        raise ValueError(f"layer range mode must be one of {LAYER_RANGE_MODES}, got {mode!r}")
+    if mode != "all" and k < 1:
+        raise ValueError(f"layer range mode {mode!r} needs k >= 1, got {k}")
     if depth < 1:
         raise ValueError(f"stack depth must be positive, got {depth}")
-    if layer_range.mode == "all":
+    if mode == "all":
         return tuple(range(depth))
-    if layer_range.k > depth:
-        raise ValueError(
-            f"layer range {layer_range.mode} k={layer_range.k} exceeds stack depth {depth}"
-        )
-    if layer_range.mode == "lowest_k":
-        return tuple(range(layer_range.k))
-    return tuple(range(depth - layer_range.k, depth))
-
-
-# The model keys a config file may set, with their types. vocab_size is not
-# among them: the vocabulary fixes it. The guidance LayerRange is spelled
-# flat as guidance_mode / guidance_k.
-MODEL_KEYS: dict[str, type] = {
-    "d_model": int,
-    "n_heads": int,
-    "enc_layers": int,
-    "dec_layers": int,
-    "ffn_dim": int,
-    "max_len": int,
-    "prompt_len": int,
-    "alpha": float,
-    "guidance_mode": str,
-    "guidance_k": int,
-    "activation": str,
-}
+    if k > depth:
+        raise ValueError(f"layer range {mode} k={k} exceeds stack depth {depth}")
+    if mode == "lowest_k":
+        return tuple(range(k))
+    return tuple(range(depth - k, depth))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The backbone's shape and guidance placement; the fields are the whole schema.
+
+    A checkpoint stores ``to_dict()``, and each field but vocab_size is a
+    config-file key (``MODEL_KEYS``). ``guidance_mode`` and ``guidance_k``
+    pick each stack's guided layers through ``select_guided_layers``.
+    """
+
     vocab_size: int
     d_model: int = 32
     n_heads: int = 2
@@ -100,7 +77,8 @@ class ModelConfig:
     max_len: int = 48
     prompt_len: int = 10
     alpha: float = 0.5
-    guidance: LayerRange = field(default_factory=LayerRange)
+    guidance_mode: str = "all"
+    guidance_k: int = 0
     activation: str = "gelu"
 
     def __post_init__(self) -> None:
@@ -122,25 +100,25 @@ class ModelConfig:
             raise ValueError(f"max_len must be at least 2, got {self.max_len}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}")
-        # resolving the range validates k against both depths
-        select_guided_layers(self.guidance, self.enc_layers)
-        select_guided_layers(self.guidance, self.dec_layers)
+        for depth in (self.enc_layers, self.dec_layers):  # resolving the placement validates it
+            select_guided_layers(self.guidance_mode, self.guidance_k, depth)
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        """Flat fields: vocab_size plus every key of MODEL_KEYS."""
-        d = {"vocab_size": self.vocab_size, "guidance_mode": self.guidance.mode, "guidance_k": self.guidance.k}
-        d.update((key, getattr(self, key)) for key in MODEL_KEYS if key not in d)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        guidance = LayerRange(mode=d.pop("guidance_mode", "all"), k=d.pop("guidance_k", 0))
-        return cls(guidance=guidance, **d)
+        """The inverse of ``to_dict``; a missing key takes its default and an unknown one is a TypeError."""
+        return cls(**d)
+
+
+# The model keys a config file may set, with their types: every ModelConfig
+# field but vocab_size, which the vocabulary fixes.
+MODEL_KEYS: dict[str, type] = {k: t for k, t in get_type_hints(ModelConfig).items() if k != "vocab_size"}
 
 
 class GuidanceModule:
@@ -149,8 +127,8 @@ class GuidanceModule:
     def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         self.config = config
         self.guided = {
-            "encoder": select_guided_layers(config.guidance, config.enc_layers),
-            "decoder": select_guided_layers(config.guidance, config.dec_layers),
+            stack: select_guided_layers(config.guidance_mode, config.guidance_k, depth)
+            for stack, depth in (("encoder", config.enc_layers), ("decoder", config.dec_layers))
         }
         self._params: dict[str, Parameter] = {}
         if config.prompt_len > 0:

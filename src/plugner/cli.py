@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .backbone import MODEL_KEYS, Backbone, ModelConfig
 from .data import (
@@ -28,7 +29,7 @@ from .data import (
     write_column_file,
 )
 from .errors import FormatError, PlugnerError, UsageError
-from .evaluate import append_csv_row, config_digest, evaluate, read_predictions, write_predictions
+from .evaluate import MetricsReport, append_csv_row, config_digest, evaluate, read_predictions, write_predictions
 from .head import NerModel, Verbalizer
 from .persist import (
     apply_prompt,
@@ -43,6 +44,7 @@ from .persist import (
 from .tensor import FD_STEP_RANGE
 from .training import (
     OptimizerConfig,
+    TrainResult,
     decode_corpus,
     eval_cadence,
     guidance_gradcheck,
@@ -52,19 +54,10 @@ from .training import (
     tune_guidance,
 )
 
-TRAIN_KEYS: dict[str, type] = {
-    "peak_lr": float,
-    "epochs": int,
-    "total_steps": int,
-    "batch_size": int,
-    "weight_decay": float,
-    "clip_norm": float,
-    "warmup_fraction": float,
-    "eval_every": int,
-    "f1_target": float,
-}
-_KEY_TYPES = {**MODEL_KEYS, **TRAIN_KEYS}
-_OPTIMIZER_KEYS = ("peak_lr", "batch_size", "weight_decay", "clip_norm", "warmup_fraction")
+# Every key a config file may set, with its type: the model keys, each
+# OptimizerConfig field, and three keys of the run itself.
+_OPTIMIZER_TYPES: dict[str, type] = get_type_hints(OptimizerConfig)
+_KEY_TYPES = {**MODEL_KEYS, **_OPTIMIZER_TYPES, "epochs": int, "eval_every": int, "f1_target": float}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -115,13 +108,17 @@ def model_config_from(cfg: dict, path: str | None, base: dict) -> ModelConfig:
 def optimizer_config_from(
     cfg: dict, path: str | None, n_sentences: int, default_epochs: int, default_lr: float
 ) -> OptimizerConfig:
-    """The file's optimizer keys, each missing one at OptimizerConfig's default; eval_every is checked too."""
+    """The file's optimizer keys over OptimizerConfig's defaults, peak_lr at ``default_lr`` unless set.
+
+    Without total_steps the run lasts ``epochs`` epochs (``default_epochs``
+    unless set). ``epochs`` and ``eval_every`` are checked even when unused.
+    """
     with _invalid_is_usage_error(path):
-        config = OptimizerConfig(**{"peak_lr": default_lr, **{k: cfg[k] for k in _OPTIMIZER_KEYS if k in cfg}})
+        given = {k: v for k, v in cfg.items() if k in _OPTIMIZER_TYPES}
+        config = OptimizerConfig(**{"peak_lr": default_lr, **given})
         eval_cadence(cfg.get("eval_every"), n_sentences, config.batch_size)
-        epochs = cfg.get("epochs", default_epochs)
-        steps = cfg.get("total_steps") or steps_for_epochs(n_sentences, epochs, config.batch_size)
-        return replace(config, total_steps=steps)
+        epoch_steps = steps_for_epochs(n_sentences, cfg.get("epochs", default_epochs), config.batch_size)
+        return config if "total_steps" in cfg else replace(config, total_steps=epoch_steps)
 
 
 def _load_checked_checkpoint(args, cfg: dict) -> tuple[NerModel, dict]:
@@ -169,6 +166,14 @@ def _load_training_corpus(path: str, what: str) -> Corpus:
     return corpus
 
 
+def _dev_summary(result: TrainResult, seed: int, config: ModelConfig) -> tuple[MetricsReport | None, str]:
+    """The run's last dev report, stamped with the seed and config digest, and its stdout note."""
+    if result.dev_report is None:
+        return None, "no dev set"
+    report = replace(result.dev_report, seed=seed, config_digest=config_digest(config.to_dict()))
+    return report, f"dev F1 {report.f1:.4f}"
+
+
 def cmd_pretrain(args, cfg: dict) -> int:
     train = _load_training_corpus(args.train, "the training corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
@@ -188,12 +193,9 @@ def cmd_pretrain(args, cfg: dict) -> int:
         f1_target=cfg.get("f1_target", 0.95),
     )
     save_checkpoint(args.out, model, seed=args.seed, trained_steps=result.steps)
-    dev_note = f"dev F1 {result.final_f1:.4f}" if dev is not None else "no dev set"
+    report, dev_note = _dev_summary(result, args.seed, config)
     print(f"pretrained {result.steps} steps; {dev_note}; checkpoint at {args.out}")
-    if args.metrics and dev is not None:
-        predictions, malformed = decode_corpus(model, dev)
-        report = evaluate(dev, predictions, malformed_outputs=sum(malformed),
-                          seed=args.seed, config_digest=config_digest(config.to_dict()))
+    if args.metrics and report is not None:
         report.write_json(args.metrics)
     return 0
 
@@ -211,12 +213,9 @@ def cmd_tune(args, cfg: dict) -> int:
         f1_target=cfg.get("f1_target", 0.98),
     )
     save_prompt(args.out_prompt, prompt_from_model(model))
-    dev_note = f"dev F1 {result.final_f1:.4f}" if dev is not None else "no dev set"
+    report, dev_note = _dev_summary(result, args.seed, model.config)
     print(f"tuned {result.steps} steps; {dev_note}; prompt at {args.out_prompt}")
-    if dev is not None and (args.metrics or args.csv):
-        predictions, malformed = decode_corpus(model, dev)
-        report = evaluate(dev, predictions, malformed_outputs=sum(malformed),
-                          seed=args.seed, config_digest=config_digest(model.config.to_dict()))
+    if report is not None:
         if args.metrics:
             report.write_json(args.metrics)
         if args.csv:

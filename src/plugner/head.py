@@ -369,7 +369,7 @@ class LcHead:
 
 
 def lc_baseline_logits(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Tag distribution per token row: softmax(h W + b)."""
+    """Tag logits per token row: h W + b (a softmax over each row gives the tag distribution)."""
     if h.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"hidden width {h.data.shape} does not match classifier shape {w.data.shape}")
-    return T.softmax_rows(T.add(T.matmul(h, w), b))
+    return T.add(T.matmul(h, w), b)

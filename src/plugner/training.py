@@ -20,7 +20,7 @@ from . import tensor as T
 from .backbone import Backbone, ModelConfig
 from .data import Corpus, DomainSpec, spans_to_bio, synthetic_corpus, vocab_for_domains
 from .errors import DivergedError, ShapeError
-from .evaluate import evaluate
+from .evaluate import MetricsReport, evaluate
 from .head import (
     IndexSpace,
     NerModel,
@@ -29,6 +29,7 @@ from .head import (
     feedback_rows,
     greedy_decode,
     indices_from_spans,
+    lc_baseline_logits,
     score_keys,
     spans_from_indices,
     step_scores,
@@ -38,15 +39,17 @@ from .tensor import Parameter, Tensor, finite_diff_check, record
 TRAINING_MODES = ("full", "guidance_only")
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW's moment decay rates and denominator guard
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Schedule, update and batching of a training run; each field is also a config-file key."""
+
     peak_lr: float = 3e-3
     total_steps: int = 1000
     warmup_fraction: float = 0.10
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0
     batch_size: int = 8
 
@@ -57,6 +60,10 @@ class OptimizerConfig:
             raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0 (0 turns decay off), got {self.weight_decay}")
+        if self.clip_norm < 0:
+            raise ValueError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
@@ -106,7 +113,7 @@ class AdamW:
             if total > cfg.clip_norm:
                 factor = cfg.clip_norm / total
                 grads = [g * factor for g in grads]
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for p, g, m, v in zip(self.params, grads, self._m, self._v):
@@ -114,7 +121,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if cfg.weight_decay > 0 and decayable(p):
                 update = update + lr * cfg.weight_decay * p.value.data
             p.value.data -= update
@@ -270,9 +277,14 @@ def decode_corpus(model: NerModel, corpus: Corpus) -> tuple[list[list], list[int
     return predictions, malformed
 
 
+def corpus_report(model: NerModel, corpus: Corpus) -> MetricsReport:
+    """Greedy-decode ``corpus`` and score it, malformed fragments counted."""
+    predictions, malformed = decode_corpus(model, corpus)
+    return evaluate(corpus, predictions, malformed_outputs=sum(malformed))
+
+
 def corpus_f1(model: NerModel, corpus: Corpus) -> float:
-    predictions, _ = decode_corpus(model, corpus)
-    return evaluate(corpus, predictions).f1
+    return corpus_report(model, corpus).f1
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +337,7 @@ class TrainResult:
     history: list[tuple[int, float, float]] = field(default_factory=list)  # (step, mean loss, dev F1)
     final_f1: float = float("nan")
     stopped_early: bool = False
+    dev_report: MetricsReport | None = None  # the last dev evaluation, of the final model
 
 
 def run_training(
@@ -359,7 +372,8 @@ def run_training(
         recent.append(mean_loss)
         if dev is None or (result.steps % cadence and result.steps < optimizer.config.total_steps):
             continue
-        result.final_f1 = corpus_f1(model, dev)
+        result.dev_report = corpus_report(model, dev)
+        result.final_f1 = result.dev_report.f1
         result.history.append((result.steps, sum(recent) / len(recent), result.final_f1))
         recent.clear()
         if result.steps % cadence == 0 and f1_target is not None and result.final_f1 >= f1_target:
@@ -369,7 +383,10 @@ def run_training(
 
 
 def steps_for_epochs(n_sentences: int, epochs: int, batch_size: int) -> int:
-    return max(1, math.ceil(n_sentences / batch_size)) * max(1, epochs)
+    """Optimizer steps in ``epochs`` (at least 1) passes over the corpus, each pass at least one step."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    return max(1, math.ceil(n_sentences / batch_size)) * epochs
 
 
 def eval_cadence(eval_every: int | None, n_sentences: int, batch_size: int) -> int:
@@ -445,7 +462,7 @@ def train_lc_head(model: NerModel, head, corpus: Corpus, steps: int = 50, lr: fl
     optimizer = AdamW(head.parameters(), cfg)
 
     def loss_fn(h_data, tag_ids):
-        return nll(T.add(T.matmul(Tensor(h_data), head.W.value), head.b.value), tag_ids)
+        return nll(lc_baseline_logits(Tensor(h_data), head.W.value, head.b.value), tag_ids)
 
     for _ in optimizer_steps(optimizer, encoded, loss_fn, seed):
         pass

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from plugner.backbone import Backbone, LayerRange, ModelConfig
+from plugner.backbone import Backbone, ModelConfig
 from plugner.data import (
     SOURCE_DOMAIN,
     TARGET_DOMAIN,
@@ -668,16 +668,16 @@ def test_10_parameter_accounting():
         layers = int(rng.integers(1, 4))
         prompt_len = int(rng.integers(1, 9))
         if i < 3:
-            guidance = LayerRange()  # every layer guided
+            guidance = {}  # the default: every layer guided
             guided_layers = 2 * layers
         else:
             k = int(rng.integers(1, layers + 1))
-            guidance = LayerRange(mode="lowest_k" if i == 3 else "highest_k", k=k)
+            guidance = {"guidance_mode": "lowest_k" if i == 3 else "highest_k", "guidance_k": k}
             guided_layers = 2 * min(k, layers)
         cfg = ModelConfig(
             vocab_size=len(vocab.tokens), d_model=d_model, n_heads=heads,
             enc_layers=layers, dec_layers=layers, ffn_dim=2 * d_model,
-            max_len=16, prompt_len=prompt_len, guidance=guidance,
+            max_len=16, prompt_len=prompt_len, **guidance,
         )
         model = _model(Backbone(cfg, seed=i), vocab, labels)
         report = param_ratio(model, "guidance_only")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plugner import tensor as T
-from plugner.backbone import Backbone, DecoderCache, LayerRange, ModelConfig, select_guided_layers
+from plugner.backbone import Backbone, DecoderCache, ModelConfig, select_guided_layers
 from plugner.errors import ShapeError
 from plugner.tensor import Parameter, Tensor, record
 
@@ -467,8 +467,8 @@ def test_decoder_prefix_states_unchanged_by_appended_token():
 def test_cached_decoding_matches_teacher_forcing(prompt_len, mode, n_heads, length, chunk, seed):
     # max_len is 12: lengths run up to it; lowest_k / highest_k with k=1 leave
     # one of the two decoder layers unguided
-    guidance = LayerRange(mode, 0 if mode == "all" else 1)
-    backbone = Backbone(config(prompt_len=prompt_len, n_heads=n_heads, guidance=guidance), seed=seed % 1000)
+    guided = dict(guidance_mode=mode, guidance_k=0 if mode == "all" else 1)
+    backbone = Backbone(config(prompt_len=prompt_len, n_heads=n_heads, **guided), seed=seed % 1000)
     rng = np.random.default_rng(seed)
     if prompt_len:
         # guidance at a generic scale, so prefix rows carry real attention mass
@@ -552,35 +552,39 @@ def test_encoder_guidance_receives_gradient():
 
 
 def test_select_all_layers():
-    assert select_guided_layers(LayerRange("all"), 12) == tuple(range(12))
+    assert select_guided_layers("all", 0, 12) == tuple(range(12))
 
 
 def test_select_highest_six_of_twelve():
-    assert select_guided_layers(LayerRange("highest_k", 6), 12) == tuple(range(6, 12))
+    assert select_guided_layers("highest_k", 6, 12) == tuple(range(6, 12))
 
 
 def test_select_lowest_one():
-    assert select_guided_layers(LayerRange("lowest_k", 1), 12) == (0,)
+    assert select_guided_layers("lowest_k", 1, 12) == (0,)
 
 
 def test_select_rejects_k_beyond_depth():
     with pytest.raises(ValueError):
-        select_guided_layers(LayerRange("lowest_k", 13), 12)
+        select_guided_layers("lowest_k", 13, 12)
 
 
 def test_select_size_is_k_for_valid_ranges():
     for k in range(1, 5):
-        assert len(select_guided_layers(LayerRange("lowest_k", k), 4)) == min(k, 4)
-        assert len(select_guided_layers(LayerRange("highest_k", k), 4)) == min(k, 4)
+        assert len(select_guided_layers("lowest_k", k, 4)) == min(k, 4)
+        assert len(select_guided_layers("highest_k", k, 4)) == min(k, 4)
 
 
 def test_layer_range_validates_mode():
-    with pytest.raises(ValueError):
-        LayerRange("middle_k", 2)
+    with pytest.raises(ValueError, match="layer range mode must be one of"):
+        select_guided_layers("middle_k", 2, 4)
+    with pytest.raises(ValueError, match="layer range mode must be one of"):
+        config(guidance_mode="middle_k", guidance_k=2)
+    with pytest.raises(ValueError, match="needs k >= 1"):
+        config(guidance_mode="highest_k", guidance_k=0)
 
 
 def test_partial_guidance_leaves_other_layers_plain():
-    cfg = config(prompt_len=2, guidance=LayerRange("lowest_k", 1))
+    cfg = config(prompt_len=2, guidance_mode="lowest_k", guidance_k=1)
     backbone = Backbone(cfg, seed=12)
     assert backbone.guidance.pair("encoder", 0) is not None
     assert backbone.guidance.pair("encoder", 1) is None
@@ -608,5 +612,12 @@ def test_config_validation():
 
 
 def test_config_round_trips_through_dict():
-    cfg = config(prompt_len=3, guidance=LayerRange("highest_k", 1), alpha=0.25)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    for mode, k in (("all", 0), ("lowest_k", 2), ("highest_k", 1)):
+        cfg = config(prompt_len=3, guidance_mode=mode, guidance_k=k, alpha=0.25)
+        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # a missing key takes its default; an unknown key is refused
+    stored = config().to_dict()
+    del stored["guidance_mode"], stored["guidance_k"]
+    assert ModelConfig.from_dict(stored) == config()
+    with pytest.raises(TypeError):
+        ModelConfig.from_dict({**stored, "guidance": "all"})

@@ -4,17 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import plugner
-from plugner.backbone import Backbone, ModelConfig
-from plugner.cli import main
+from plugner.backbone import MODEL_KEYS, Backbone, ModelConfig
+from plugner.cli import _KEY_TYPES, main
 from plugner.data import Vocab, read_column_file
 from plugner.head import NerModel, Verbalizer
 from plugner.persist import load_checkpoint, load_prompt, save_prompt, prompt_from_model
+from plugner.training import OptimizerConfig
 
 
 TINY_CFG = """\
@@ -84,6 +86,24 @@ def test_config_with_unknown_key_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.cfg:2" in err
     assert "learning_rate" in err
+    # AdamW's moment rates and guard are constants, not config keys
+    for key in ("beta1", "beta2", "eps"):
+        cfg.write_text(f"{key} = 0.8\n")
+        assert main(["gen-synth", "--domain", "source", "--out", out, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"USAGE: {cfg}:1: unknown config key '{key}'")
+
+
+def test_config_keys_are_the_config_dataclass_fields():
+    readme_keys = {  # the 20 keys the README lists
+        "d_model", "n_heads", "enc_layers", "dec_layers", "ffn_dim", "max_len", "prompt_len", "alpha",
+        "guidance_mode", "guidance_k", "activation", "peak_lr", "total_steps", "warmup_fraction",
+        "weight_decay", "clip_norm", "batch_size", "epochs", "eval_every", "f1_target",
+    }
+    model_keys = {f.name for f in fields(ModelConfig)} - {"vocab_size"}
+    optimizer_keys = {f.name for f in fields(OptimizerConfig)}
+    assert set(MODEL_KEYS) == model_keys
+    assert set(_KEY_TYPES) == model_keys | optimizer_keys | {"epochs", "eval_every", "f1_target"} == readme_keys
+    assert _KEY_TYPES["alpha"] is float and _KEY_TYPES["guidance_mode"] is str and _KEY_TYPES["epochs"] is int
 
 
 def test_config_with_bad_number_is_rejected(tmp_path, capsys):
@@ -105,8 +125,14 @@ def test_config_with_bad_number_is_rejected(tmp_path, capsys):
     ("tune", "eval_every = -2\n", "eval_every must be at least 1, got -2"),
     ("pretrain", "ffn_dim = -1\n", "ffn_dim must be positive, got -1"),
     ("pretrain", "ffn_dim = 0\n", "ffn_dim must be positive, got 0"),
+    ("tune", "total_steps = 0\n", "total_steps must be positive, got 0"),
+    ("pretrain", "epochs = 0\n", "epochs must be at least 1, got 0"),
+    ("tune", "epochs = -5\n", "epochs must be at least 1, got -5"),
+    ("tune", "weight_decay = -1\n", "weight_decay must be >= 0 (0 turns decay off), got -1.0"),
+    ("tune", "clip_norm = -2\n", "clip_norm must be >= 0 (0 turns clipping off), got -2.0"),
 ], ids=["n_heads", "guidance_mode", "peak_lr", "eval_every-zero", "eval_every-negative", "ffn_dim-negative",
-        "ffn_dim-zero"])
+        "ffn_dim-zero", "total_steps-zero", "epochs-zero", "epochs-negative", "weight_decay-negative",
+        "clip_norm-negative"])
 def test_config_with_invalid_value_is_rejected(tmp_path, capsys, tiny_ckpt, command, text, detail):
     ckpt, corpus = tiny_ckpt
     cfg = tmp_path / "bad.cfg"

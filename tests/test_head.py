@@ -506,8 +506,9 @@ def test_lc_logits_uniform_at_zero_weights():
     head = LcHead(8, ("A",), seed=0)
     head.W.value.data[:] = 0.0
     h = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-    dist = lc_baseline_logits(h, head.W.value, head.b.value)
-    np.testing.assert_allclose(dist.data, 1.0 / 3.0, atol=1e-15)
+    logits = lc_baseline_logits(h, head.W.value, head.b.value)
+    np.testing.assert_array_equal(logits.data, 0.0)
+    np.testing.assert_allclose(T.softmax_rows(logits).data, 1.0 / 3.0, atol=1e-15)
 
 
 def test_lc_logits_match_plain_numpy():
@@ -515,7 +516,10 @@ def test_lc_logits_match_plain_numpy():
     head.b.value.data[:] = np.linspace(-0.2, 0.2, 7)
     h = np.random.default_rng(9).normal(size=(3, 6))
     got = lc_baseline_logits(Tensor(h), head.W.value, head.b.value)
-    np.testing.assert_allclose(got.data, np_softmax(h @ head.W.value.data + head.b.value.data), atol=1e-12)
+    np.testing.assert_allclose(got.data, h @ head.W.value.data + head.b.value.data, atol=1e-12)
+    np.testing.assert_allclose(
+        T.softmax_rows(got).data, np_softmax(h @ head.W.value.data + head.b.value.data), atol=1e-12
+    )
 
 
 def test_lc_logits_reject_width_mismatch():

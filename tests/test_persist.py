@@ -118,6 +118,36 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         np.testing.assert_array_equal(original[name], restored[name])
 
 
+# A checkpoint's stored config as the flat-guidance format has written it (key
+# order aside; the header is written with sorted keys).
+STORED_CONFIG = {
+    "vocab_size": 16, "guidance_mode": "highest_k", "guidance_k": 1, "d_model": 8, "n_heads": 2,
+    "enc_layers": 2, "dec_layers": 2, "ffn_dim": 16, "max_len": 16, "prompt_len": 2, "alpha": 0.5,
+    "activation": "gelu",
+}
+
+
+def test_checkpoint_in_the_stored_config_format_loads(tmp_path):
+    backbone, vocab = Backbone(ModelConfig(**STORED_CONFIG), seed=5), Vocab(WORDS)
+    model = NerModel(backbone, vocab, Verbalizer(LABELS, vocab, backbone.param("embed.tokens")))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, seed=5)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["meta"]["config"] == STORED_CONFIG
+
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config.to_dict() == STORED_CONFIG
+    assert loaded.backbone.guidance.guided == {"encoder": (1,), "decoder": (1,)}
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert p.name == q.name and p.value.data.tobytes() == q.value.data.tobytes()
+
+    # the nested placement object the flat keys replaced is not a stored format
+    nested = {k: v for k, v in STORED_CONFIG.items() if not k.startswith("guidance_")}
+    rewrite_header(path, lambda h: h["meta"].update(config={**nested, "guidance": {"mode": "highest_k", "k": 1}}))
+    with pytest.raises(FormatError, match="does not describe a model"):
+        load_checkpoint(path)
+
+
 def test_save_is_canonical(tmp_path):
     model = build_model(seed=4)
     first = tmp_path / "a.ckpt"

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from plugner import tensor as T
-from plugner.backbone import Backbone, LayerRange, ModelConfig
+from plugner.backbone import Backbone, ModelConfig
 from plugner.data import AnnotatedSentence, Corpus, DomainSpec, EntitySpan, synthetic_corpus, vocab_for_domains
 from plugner.errors import DivergedError, ShapeError
+from plugner.evaluate import evaluate
 from plugner.head import LcHead, NerModel, Verbalizer, decoder_inputs, lc_baseline_logits, step_scores
 from plugner.persist import backbone_hash
 from plugner.tensor import Parameter, Tensor, record
@@ -56,7 +57,7 @@ PROBE_TWO_WORD = DomainSpec(
 )
 
 
-def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None, max_len=32, domain=PROBE):
+def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=("all", 0), max_len=32, domain=PROBE):
     vocab = vocab_for_domains([domain])
     config = ModelConfig(
         vocab_size=len(vocab),
@@ -67,7 +68,8 @@ def build_model(seed=1, prompt_len=2, d_model=16, layers=1, guided=None, max_len
         ffn_dim=2 * d_model,
         max_len=max_len,
         prompt_len=prompt_len,
-        guidance=guided if guided is not None else LayerRange("all"),
+        guidance_mode=guided[0],
+        guidance_k=guided[1],
     )
     backbone = Backbone(config, seed=seed)
     verb = Verbalizer(domain.label_set, vocab, backbone.param("embed.tokens"))
@@ -114,12 +116,20 @@ def test_optimizer_config_validation():
         OptimizerConfig(warmup_fraction=1.0)
     with pytest.raises(ValueError, match="batch"):
         OptimizerConfig(batch_size=0)
+    with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+        OptimizerConfig(weight_decay=-0.01)
+    with pytest.raises(ValueError, match="clip_norm must be >= 0"):
+        OptimizerConfig(clip_norm=-1.0)
+    OptimizerConfig(weight_decay=0.0, clip_norm=0.0)  # 0 turns each off
 
 
 def test_steps_for_epochs():
     assert steps_for_epochs(10, 2, 8) == 4
     assert steps_for_epochs(8, 300, 8) == 300
     assert steps_for_epochs(3, 1, 8) == 1
+    for epochs in (0, -5):
+        with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
+            steps_for_epochs(3, epochs, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +247,7 @@ def test_param_ratio_closed_form_and_fraction():
 
 
 def test_param_ratio_partial_guidance_counts_guided_layers_only():
-    model = build_model(prompt_len=2, d_model=16, layers=2, guided=LayerRange("highest_k", 1))
+    model = build_model(prompt_len=2, d_model=16, layers=2, guided=("highest_k", 1))
     report = param_ratio(model, "guidance_only")
     assert report.guidance == 2 * (1 + 1) * 2 * 16
 
@@ -506,6 +516,18 @@ def test_early_stop_respects_target():
     )
     assert result.stopped_early
     assert result.steps == 2
+
+
+def test_dev_report_scores_the_final_model():
+    model = build_model(seed=3)
+    corpus = tiny_corpus(4)
+    result = tune_guidance(model, corpus, corpus, OptimizerConfig(peak_lr=1e-2, total_steps=5, batch_size=2),
+                           seed=1, eval_every=2)
+    assert [step for step, _, _ in result.history] == [2, 4, 5]
+    predictions, malformed = decode_corpus(model, corpus)
+    assert result.dev_report == evaluate(corpus, predictions, malformed_outputs=sum(malformed))
+    assert result.final_f1 == result.dev_report.f1 == result.history[-1][2]
+    assert tune_guidance(model, corpus, None, OptimizerConfig(total_steps=1)).dev_report is None
 
 
 # ---------------------------------------------------------------------------
