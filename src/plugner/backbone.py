@@ -189,7 +189,6 @@ class Backbone:
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
         self.config = config
         self._params: dict[str, Parameter] = {}
-        self._mask_cache: dict[tuple[int, int], np.ndarray] = {}
         rng = np.random.default_rng(seed)
 
         d, ffn = config.d_model, config.ffn_dim
@@ -252,16 +251,6 @@ class Backbone:
 
     # -- attention ----------------------------------------------------------
 
-    def _causal_mask(self, n: int, ahead: int) -> np.ndarray:
-        """Blocks row i from the rows of x after it; the ``ahead`` rows in front stay visible."""
-        key = (n, ahead)
-        cached = self._mask_cache.get(key)
-        if cached is None:
-            mask = np.zeros((n, ahead + n), dtype=bool)
-            mask[:, ahead:] = np.triu(np.ones((n, n), dtype=bool), k=1)
-            cached = self._mask_cache[key] = mask
-        return cached
-
     def attention_with_guidance(
         self,
         stack: str,
@@ -280,18 +269,19 @@ class Backbone:
         ``phi`` pair, whose rows bypass the K/V projections. A ``cache``
         stores the joined memory back for the next rows. ``kv`` switches
         the key/value source for cross-attention, which never takes a
-        prefix and reuses the encoder's cached keys and values.
+        prefix and reuses the encoder's cached keys and values. ``causal``
+        hides later token rows from each query row; the rows in front stay
+        visible to all of them.
         """
         cfg = self.config
         base = f"{stack}.layer{layer}.{block}"
         cross = kv is not None
-        q = T.add(T.matmul(x, self.param(f"{base}.Wq").value), self.param(f"{base}.bq").value)
+        q = self._linear(base, "q", x)
         if cross and cache is not None and layer in cache.cross_kv:
             k, v = cache.cross_kv[layer]
         else:
             source = kv if cross else x
-            k = T.add(T.matmul(source, self.param(f"{base}.Wk").value), self.param(f"{base}.bk").value)
-            v = T.add(T.matmul(source, self.param(f"{base}.Wv").value), self.param(f"{base}.bv").value)
+            k, v = self._linear(base, "k", source), self._linear(base, "v", source)
 
         if phi is not None:
             phi_k, phi_v = phi
@@ -304,31 +294,27 @@ class Backbone:
                     f"phi_k shape {phi_k.data.shape} does not match phi_v shape {phi_v.data.shape}"
                 )
 
-        n = x.data.shape[0]
         if not cross:
             # the rows in front of x: the cached rows if any, else the guidance prefix
             front = phi if cache is None else cache.self_kv.get(layer, phi)
             if front is not None:
                 k = T.concat([front[0], k], axis=0)
                 v = T.concat([front[1], v], axis=0)
-            if cache is not None:
-                cache.self_kv[layer] = (k, v)
-        elif cache is not None:
-            cache.cross_kv[layer] = (k, v)
-        # a single row sees every key in front of it, so it needs no mask
-        mask = self._causal_mask(n, k.data.shape[0] - n) if causal and n > 1 else None
-        ctx = T.attention(q, k, v, cfg.n_heads, mask)
-        out = T.add(T.matmul(ctx, self.param(f"{base}.Wo").value), self.param(f"{base}.bo").value)
-        ln = base.replace(f".{block}", f".ln_{block}")
-        return self._layer_norm(ln, T.add(x, out))
+        if cache is not None:
+            (cache.cross_kv if cross else cache.self_kv)[layer] = (k, v)
+        out = self._linear(base, "o", T.attention(q, k, v, cfg.n_heads, causal))
+        return self._layer_norm(f"{stack}.layer{layer}.ln_{block}", T.add(x, out))
+
+    def _linear(self, base: str, piece: str, x: Tensor) -> Tensor:
+        """x W + b with the weights ``{base}.W{piece}`` and ``{base}.b{piece}``."""
+        return T.add(T.matmul(x, self.param(f"{base}.W{piece}").value), self.param(f"{base}.b{piece}").value)
 
     def _layer_norm(self, base: str, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.param(f"{base}.gain").value, self.param(f"{base}.bias").value)
 
     def _ffn(self, stack: str, layer: int, x: Tensor) -> Tensor:
         base = f"{stack}.layer{layer}.ffn"
-        h = self._act(T.add(T.matmul(x, self.param(f"{base}.W1").value), self.param(f"{base}.b1").value))
-        out = T.add(T.matmul(h, self.param(f"{base}.W2").value), self.param(f"{base}.b2").value)
+        out = self._linear(base, "2", self._act(self._linear(base, "1", x)))
         return self._layer_norm(f"{stack}.layer{layer}.ln_ffn", T.add(x, out))
 
     # -- forward passes -------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -49,24 +49,12 @@ class MetricsReport:
     config_digest: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "schema": METRICS_SCHEMA_VERSION,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "n_sentences": self.n_sentences,
-            "per_category": {
-                cat: dict(zip(("precision", "recall", "f1"), m.scores))
-                | {"tp": m.tp, "fp": m.fp, "fn": m.fn}
-                for cat, m in sorted(self.per_category.items())
-            },
-            "malformed_outputs": self.malformed_outputs,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
+        """The fields plus ``schema``; each category also carries its precision, recall and f1."""
+        per_category = {
+            cat: dict(zip(("precision", "recall", "f1"), m.scores)) | asdict(m)
+            for cat, m in sorted(self.per_category.items())
         }
+        return {"schema": METRICS_SCHEMA_VERSION, **asdict(self), "per_category": per_category}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

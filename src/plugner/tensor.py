@@ -5,8 +5,11 @@ multiply, elementwise add/multiply, scalar scaling, row softmax (plus a
 fused log-softmax for losses), layer normalisation, row gather,
 concatenation and slicing, transpose, GELU/tanh, an additive mask,
 multi-head attention fused into one op with a hand-written backward, and
-a full reduction. Tensors are float64 and 1-D or 2-D; the only
-broadcasting is adding a row vector to every row of a matrix.
+a full reduction. Attention takes no mask: it applies the causal rule
+itself, the rows in front of the token rows exempt. Tensors are float64
+and 1-D or 2-D; the row-wise ops take 2-D operands, and the only
+broadcasting is adding a (k,) or (1, k) row to every row of an n x k
+matrix.
 
 Recording is opt-in. Ops executed inside a ``record()`` block append one
 tape entry each; outside a block they only compute values, which keeps
@@ -147,13 +150,6 @@ def _emit(out_data: np.ndarray, pull: Callable[[np.ndarray], None] | None) -> Te
     return out
 
 
-def _as_rows(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """View a 1-D array as a single row; report whether we did."""
-    if a.ndim == 1:
-        return a[None, :], True
-    return a, False
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -173,18 +169,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may be a row vector added to every row of ``a``."""
+    """Elementwise sum; ``b`` may be a (k,) or (1, k) row added to every row of an n x k ``a``."""
     if a.data.shape == b.data.shape:
         def pull(g: np.ndarray) -> None:
             a._bump(g)
             b._bump(g)
         return _emit(a.data + b.data, pull)
-    row = b.data.reshape(-1) if b.data.ndim in (1, 2) else None
-    if a.data.ndim == 2 and row is not None and row.shape[0] == a.data.shape[1] and b.data.size == row.shape[0]:
+    if a.data.ndim == 2 and b.data.shape in ((a.data.shape[1],), (1, a.data.shape[1])):
         def pull(g: np.ndarray) -> None:
             a._bump(g)
             b._bump(g.sum(axis=0).reshape(b.data.shape))
-        return _emit(a.data + row, pull)
+        return _emit(a.data + b.data, pull)
     raise ShapeError(f"add shapes do not match: {a.data.shape} + {b.data.shape}")
 
 
@@ -210,45 +205,43 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax along the last axis; rows sum to one."""
-    z, was_1d = _as_rows(x.data)
-    z = z - z.max(axis=1, keepdims=True)
+    """Softmax along each row of a 2-D operand; rows sum to one."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax_rows needs a 2-D operand, got shape {x.data.shape}")
+    z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    out_data = p[0] if was_1d else p
 
     def pull(g: np.ndarray) -> None:
-        g2 = g[None, :] if was_1d else g
-        inner = (g2 * p).sum(axis=1, keepdims=True)
-        dz = p * (g2 - inner)
-        x._bump(dz[0] if was_1d else dz)
+        inner = (g * p).sum(axis=1, keepdims=True)
+        x._bump(p * (g - inner))
 
-    return _emit(out_data, pull)
+    return _emit(p, pull)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
-    """Log of row softmax, computed stably so outputs are always finite."""
-    z, was_1d = _as_rows(x.data)
-    shifted = z - z.max(axis=1, keepdims=True)
+    """Log of row softmax of a 2-D operand, computed stably so outputs are always finite."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"log_softmax_rows needs a 2-D operand, got shape {x.data.shape}")
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
     p = np.exp(logp)
-    out_data = logp[0] if was_1d else logp
 
     def pull(g: np.ndarray) -> None:
-        g2 = g[None, :] if was_1d else g
-        dz = g2 - p * g2.sum(axis=1, keepdims=True)
-        x._bump(dz[0] if was_1d else dz)
+        x._bump(g - p * g.sum(axis=1, keepdims=True))
 
-    return _emit(out_data, pull)
+    return _emit(logp, pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalise each row to zero mean / unit variance, then apply gain and bias.
+    """Normalise each row of a 2-D operand to zero mean / unit variance, then apply gain and bias.
 
     Population variance over the last axis, epsilon inside the square root.
     """
-    z, was_1d = _as_rows(x.data)
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm needs a 2-D operand, got shape {x.data.shape}")
+    z = x.data
     k = z.shape[1]
     if gain.data.shape != (k,) or bias.data.shape != (k,):
         raise ShapeError(
@@ -260,22 +253,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(xc * xc, axis=1, keepdims=True) / k
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    out_data = out[0] if was_1d else out
 
     def pull(g: np.ndarray) -> None:
-        g2 = g[None, :] if was_1d else g
-        bias._bump(g2.sum(axis=0))
-        gain._bump((g2 * xhat).sum(axis=0))
-        dxhat = g2 * gain.data
-        dz = inv * (
+        bias._bump(g.sum(axis=0))
+        gain._bump((g * xhat).sum(axis=0))
+        dxhat = g * gain.data
+        x._bump(inv * (
             dxhat
             - np.add.reduce(dxhat, axis=1, keepdims=True) / k
             - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / k)
-        )
-        x._bump(dz[0] if was_1d else dz)
+        ))
 
-    return _emit(out_data, pull)
+    return _emit(xhat * gain.data + bias.data, pull)
 
 
 def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
@@ -306,6 +295,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     for p in parts:
         if p.data.ndim != 2:
             raise ShapeError(f"concat needs 2-D operands, got shape {p.data.shape}")
+    if len({p.data.shape[1 - axis] for p in parts}) > 1:
+        shapes = [p.data.shape for p in parts]
+        raise ShapeError(f"concat along axis {axis} needs equal axis-{1 - axis} sizes, got shapes {shapes}")
     sizes = [p.data.shape[axis] for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     offsets = list(accumulate(sizes, initial=0))
@@ -397,14 +389,16 @@ def masked_fill(x: Tensor, mask: np.ndarray) -> Tensor:
     return _emit(out_data, pull)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one tape entry.
 
     ``q`` is n x d, ``k`` and ``v`` are m x d (any prefix rows already in
     front); head h owns columns [h*dh, (h+1)*dh). Each head computes
     softmax_rows(masked_fill(scale(q_h @ k_h.T, 1/sqrt(dh)), mask)) @ v_h and
-    the heads are joined by columns. ``mask`` (n x m, True = blocked) is
-    shared by every head.
+    the heads are joined by columns. Without ``causal`` nothing is masked.
+    With it, query row i sees the m - n key rows in front of the token rows
+    and token rows 0..i; the same n x m mask serves every head. A single
+    query row (a cached decode step) sees every key, so it takes no mask.
 
     The result and the gradients are bitwise those of the per-head ops:
     heads are stacked as C-contiguous (heads, rows, dh) arrays and go
@@ -418,17 +412,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | 
         raise ShapeError(f"attention width {d} is not a positive multiple of {n_heads} heads")
     if k.data.shape != (m, d) or v.data.shape != (m, d):
         raise ShapeError(f"attention keys {k.data.shape} and values {v.data.shape} must both be (m, {d})")
+    if causal and m < n:
+        raise ShapeError(f"causal attention needs at least as many keys ({m}) as queries ({n})")
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
     Q = np.ascontiguousarray(q.data.reshape(n, n_heads, dh).transpose(1, 0, 2))
     Kt = np.ascontiguousarray(k.data.reshape(m, n_heads, dh).transpose(1, 2, 0))
     V = np.ascontiguousarray(v.data.reshape(m, n_heads, dh).transpose(1, 0, 2))
     s = (Q @ Kt) * c
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, m):
-            raise ShapeError(f"mask shape {mask.shape} does not match attention scores ({n}, {m})")
-        s = s + np.where(mask, MASK_FILL, 0.0)
+    if causal and n > 1:
+        # key column m - n + j holds token row j, hidden from every query row i < j
+        s = s + np.where(np.triu(np.ones((n, m), dtype=bool), k=m - n + 1), MASK_FILL, 0.0)
     s = s - s.max(axis=2, keepdims=True)
     e = np.exp(s)
     P = e / e.sum(axis=2, keepdims=True)

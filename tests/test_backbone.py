@@ -165,15 +165,23 @@ def test_guided_attention_matches_straight_line_oracle():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-def attention_probabilities(q, k, v, n_heads, mask=None):
+def causal_mask(n, m):
+    # the causal rule stated apart from tensor.attention (True = blocked):
+    # the m - n rows in front stay visible, token row j is hidden from query rows before it
+    mask = np.zeros((n, m), dtype=bool)
+    mask[:, m - n:] = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return mask
+
+
+def attention_probabilities(q, k, v, n_heads, causal=False):
     # the (heads, rows, keys) weights one attention call puts on its keys
     n, d = q.data.shape
     m, dh = k.data.shape[0], d // n_heads
     qh = q.data.reshape(n, n_heads, dh).transpose(1, 0, 2)
     kh = k.data.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dh)
-    if mask is not None:
-        scores = scores + np.where(mask, T.MASK_FILL, 0.0)
+    if causal:
+        scores = scores + np.where(causal_mask(n, m), T.MASK_FILL, 0.0)
     return np_softmax(scores)
 
 
@@ -181,9 +189,9 @@ def test_attention_rows_sum_to_one_including_prefix(monkeypatch):
     seen = []
     original = T.attention
 
-    def attention(q, k, v, n_heads, mask=None):
-        seen.append(attention_probabilities(q, k, v, n_heads, mask))
-        return original(q, k, v, n_heads, mask)
+    def attention(q, k, v, n_heads, causal=False):
+        seen.append(attention_probabilities(q, k, v, n_heads, causal))
+        return original(q, k, v, n_heads, causal)
 
     monkeypatch.setattr(T, "attention", attention)
     backbone = Backbone(config(prompt_len=3), seed=2)
@@ -217,7 +225,8 @@ def per_head_attention(q, k, v, n_heads, mask=None):
     return heads[0] if n_heads == 1 else T.concat(heads, axis=1)
 
 
-def assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, mask, prefix=0, seed=0):
+def assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, causal, mask, prefix=0, seed=0):
+    # tensor.attention(..., causal) against per_head_attention(..., mask):
     # output and gradients, with the inputs built as self-attention builds
     # them: rows take a row bias, as the projections do, and with a prefix
     # its rows are joined in front of k and v. A gradient handed on in
@@ -233,12 +242,13 @@ def assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, mask, prefix=0, se
             q, k, v = (T.add(p.value, b.value) for p, b in zip(leaves[:3], leaves[3:]))
             if prefix:
                 k, v = (T.concat([front.value, rows], axis=0) for front, rows in zip(fronts, (k, v)))
-            out = attend(q, k, v, n_heads, mask)
+            out = attend(q, k, v, n_heads)
             loss = weighted_sum(out, seed=seed)
         tape.backward(loss)
         return {"out": out.data, **{p.name: p.grad for p in leaves + fronts}}
 
-    ours, reference = run(T.attention), run(per_head_attention)
+    ours = run(lambda *args: T.attention(*args, causal))
+    reference = run(lambda *args: per_head_attention(*args, mask))
     assert ours.keys() == reference.keys()
     for name, got in ours.items():
         assert got is not None and np.array_equal(got, reference[name]), name
@@ -253,21 +263,18 @@ def test_fused_attention_is_bitwise_the_per_head_ops(n_heads, n, masked, prefix)
     # path, where the memory order of a gradient changes the result
     rng = np.random.default_rng(n_heads * 100 + n * 10 + 2 * masked + prefix)
     d, m = 16, prefix + n
-    mask = None
-    if masked:
-        mask = np.zeros((n, m), dtype=bool)
-        mask[:, prefix:] = np.triu(np.ones((n, n), dtype=bool), k=1)
     q0, k0, v0 = (rng.normal(size=shape) for shape in ((n, d), (m, d), (m, d)))
-    assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, mask, prefix=prefix, seed=n)
+    mask = causal_mask(n, m) if masked else None
+    assert_attention_is_bitwise_per_head(q0, k0, v0, n_heads, masked, mask, prefix=prefix, seed=n)
 
 
 def test_cached_step_attends_over_the_cached_full_width_kv(monkeypatch):
     calls = []
     original = T.attention
 
-    def attention(q, k, v, n_heads, mask=None):
-        calls.append((q, k, v, n_heads, mask))
-        return original(q, k, v, n_heads, mask)
+    def attention(q, k, v, n_heads, causal=False):
+        calls.append((q, k, v, n_heads, causal))
+        return original(q, k, v, n_heads, causal)
 
     monkeypatch.setattr(T, "attention", attention)
     backbone = Backbone(config(prompt_len=2), seed=16)
@@ -288,9 +295,11 @@ def test_cached_step_attends_over_the_cached_full_width_kv(monkeypatch):
         assert (k, v) == cache.cross_kv[layer] == first[2 * layer + 1][1:3]
         assert k.data.shape == v.data.shape == (5, 8)
     monkeypatch.undo()  # the exactness check below calls tensor.attention itself
-    for i, (q, k, v, n_heads, mask) in enumerate(calls):
-        assert q.data.shape == (1, 8) and n_heads == 2 and mask is None
-        assert_attention_is_bitwise_per_head(q.data, k.data, v.data, n_heads, mask, seed=i)
+    for i, (q, k, v, n_heads, causal) in enumerate(calls):
+        # self-attention asks for the causal rule, cross-attention does not;
+        # a single query row sees every key either way
+        assert q.data.shape == (1, 8) and n_heads == 2 and causal is (i % 2 == 0)
+        assert_attention_is_bitwise_per_head(q.data, k.data, v.data, n_heads, causal, None, seed=i)
 
 
 def per_head_prefix_attention(backbone, stack, layer, x, phi, causal):
@@ -303,10 +312,7 @@ def per_head_prefix_attention(backbone, stack, layer, x, phi, causal):
     k = T.add(T.matmul(x, w["Wk"]), w["bk"])
     v = T.add(T.matmul(x, w["Wv"]), w["bv"])
     n, prefix, dh = x.data.shape[0], 0 if phi is None else phi[0].data.shape[0], cfg.d_head
-    mask = None
-    if causal:
-        mask = np.zeros((n, prefix + n), dtype=bool)
-        mask[:, prefix:] = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask = causal_mask(n, prefix + n) if causal else None
     heads = []
     for h in range(cfg.n_heads):
         lo, hi = h * dh, (h + 1) * dh

@@ -1,4 +1,6 @@
 """Tensor substrate: forward values, VJPs, tape discipline, finite differences."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,8 @@ def t(data):
 
 
 def test_softmax_of_zeros_is_uniform():
-    out = T.softmax_rows(t([0.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(out.data, [1 / 3, 1 / 3, 1 / 3])
+    out = T.softmax_rows(t([[0.0, 0.0, 0.0]]))
+    np.testing.assert_array_equal(out.data, [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_matmul_1x1():
@@ -29,10 +31,23 @@ def test_matmul_1x1():
 
 def test_layer_norm_two_points():
     # mean 2, population var 1: (x - 2) / sqrt(1 + eps) -> almost exactly [-1, 1]
-    out = T.layer_norm(t([1.0, 3.0]), gain=t([1.0, 1.0]), bias=t([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-5)
+    out = T.layer_norm(t([[1.0, 3.0]]), gain=t([1.0, 1.0]), bias=t([0.0, 0.0]))
+    np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
     expected = 1.0 / np.sqrt(1.0 + T.LN_EPS)
-    np.testing.assert_allclose(out.data, [-expected, expected], rtol=1e-15)
+    np.testing.assert_allclose(out.data, [[-expected, expected]], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "name,op",
+    [
+        ("softmax_rows", T.softmax_rows),
+        ("log_softmax_rows", T.log_softmax_rows),
+        ("layer_norm", lambda x: T.layer_norm(x, t([1.0, 1.0]), t([0.0, 0.0]))),
+    ],
+)
+def test_row_ops_refuse_a_1d_operand(name, op):
+    with pytest.raises(ShapeError, match=rf"{name} needs a 2-D operand, got shape \(2,\)"):
+        op(t([1.0, 3.0]))
 
 
 @pytest.mark.parametrize("shape", [(1, 64), (17, 64), (5, 8), (3, 12)])
@@ -64,6 +79,19 @@ def test_layer_norm_is_bitwise_the_mean_based_formula(shape):
 def test_add_broadcasts_rows():
     out = T.add(t([[1.0, 2.0], [3.0, 4.0]]), t([10.0, 20.0]))
     np.testing.assert_array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+def test_add_refuses_a_column(shape):
+    # a (3, 1) column has as many elements as a row of width 3, and was once added as the row [1, 2, 3]
+    with pytest.raises(ShapeError, match=re.escape(f"{shape} + (3, 1)")):
+        T.add(t(np.zeros(shape)), t([[1.0], [2.0], [3.0]]))
+
+
+@pytest.mark.parametrize("axis,shapes", [(0, [(2, 3), (2, 4)]), (1, [(2, 3), (3, 3)]), (1, [(2, 3), (2, 1), (1, 3)])])
+def test_concat_refuses_operands_that_disagree_off_the_axis(axis, shapes):
+    with pytest.raises(ShapeError, match=re.escape(str(shapes))):
+        T.concat([t(np.zeros(s)) for s in shapes], axis=axis)
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
@@ -196,12 +224,38 @@ def test_finite_diff_reports_nonfinite_probes():
 
 
 def attention_probe(p, c):
-    # q, k and v all depend on p; 2 heads of width 2, the causal mask leaves
+    # q, k and v all depend on p; 2 heads of width 2, the causal rule leaves
     # the 2 prefix keys visible to both query rows
     x = T.matmul(p.value, t(c["B"]))
     k = T.concat([t(c["A24"]), x], axis=0)
     v = T.concat([x, t(c["A24"])], axis=0)
     return T.reduce_sum(T.mul(T.attention(x, k, v, 2, c["causal"]), t(c["C24"])))
+
+
+@pytest.mark.parametrize("prefix", [0, 3])
+def test_causal_single_query_row_is_bitwise_unmasked(prefix):
+    # a cached decode step: one query row sees every key, so the causal rule masks nothing
+    rng = np.random.default_rng(prefix)
+    arrays = {"q": rng.normal(size=(1, 4)), "k": rng.normal(size=(prefix + 1, 4)), "v": rng.normal(size=(prefix + 1, 4))}
+    weights = rng.normal(size=(1, 4))
+
+    def run(causal):
+        leaves = {name: Parameter(name, a) for name, a in arrays.items()}
+        with record() as tape:
+            out = T.attention(*(p.value for p in leaves.values()), 2, causal)
+            loss = T.reduce_sum(T.mul(out, t(weights)))
+        tape.backward(loss)
+        return [out.data] + [p.grad for p in leaves.values()]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+def test_causal_attention_refuses_fewer_keys_than_queries():
+    q, kv = t(np.zeros((3, 4))), t(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match=r"keys \(2\).*queries \(3\)"):
+        T.attention(q, kv, kv, 2, causal=True)
+    assert T.attention(q, kv, kv, 2).data.shape == (3, 4)  # without the causal rule any key count serves
 
 
 @pytest.mark.parametrize(
@@ -234,7 +288,7 @@ def test_primitive_gradients_match_finite_differences(name, builder):
         "g": rng.normal(size=3) + 1.5,
         "b": rng.normal(size=3),
         "mask": np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        "causal": np.array([[False, False, False, True], [False, False, False, False]]),
+        "causal": True,  # for 2 query rows over 4 keys: row 0 does not see key 3
     }
     p = Parameter("p", rng.normal(size=(2, 3)))
     rep = finite_diff_check(lambda: builder(p, consts), [p], h=3e-5, tol=1e-5)
