@@ -33,7 +33,7 @@ from .evaluate import MetricsReport, append_csv_row, config_digest, evaluate, re
 from .head import NerModel, Verbalizer
 from .persist import (
     apply_prompt,
-    check_config_compatible,
+    check_fields,
     load_checkpoint,
     load_prompt,
     mix_prompts,
@@ -124,11 +124,9 @@ def optimizer_config_from(
 def _load_checked_checkpoint(args, cfg: dict) -> tuple[NerModel, dict]:
     """Load --checkpoint and refuse a --config whose model keys disagree with it."""
     model, meta = load_checkpoint(args.checkpoint)
-    stored = model.config
-    check_config_compatible(
-        stored, model_config_from(cfg, args.config, stored.to_dict()),
-        context=f"{args.config}: checkpoint {args.checkpoint}",
-    )
+    stored = model.config.to_dict()
+    check_fields(f"{args.config}: checkpoint {args.checkpoint} config mismatch",
+                 stored, model_config_from(cfg, args.config, stored).to_dict())
     return model, meta
 
 
@@ -275,9 +273,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     for name in sorted(report.per_param):
         print(f"  {name}: max rel err {report.per_param[name]:.3e}")
     if not report.passed:
-        print(f"GRADCHECK_FAILED: max rel err {report.max_rel_error:.3e} exceeds tol {report.tol:g}",
-              file=sys.stderr)
-        return 2
+        return _fail("GRADCHECK_FAILED", f"max rel err {report.max_rel_error:.3e} exceeds tol {report.tol:g}", 2)
     return 0
 
 
@@ -402,26 +398,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(code: str, detail: str, status: int) -> int:
+    """Print the one ``CODE: detail`` line, every line break in the detail folded to a space."""
+    print(f"{code}: {' '.join(detail.splitlines())}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        print(f"USAGE: {exc} (run 'plugner --help' for the command list)", file=sys.stderr)
-        return 1
+        return _fail("USAGE", f"{exc} (run 'plugner --help' for the command list)", 1)
     try:
         # a bad --config file is a usage error for every command, even the
         # ones that only consume a few of its keys
         return int(args.func(args, load_config(args.config)) or 0)
-    except UsageError as exc:
-        print(f"USAGE: {exc}", file=sys.stderr)
-        return 1
     except PlugnerError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc.code, str(exc), 1 if isinstance(exc, UsageError) else 2)
     except OSError as exc:
-        print(f"IO_ERROR: {exc}", file=sys.stderr)
-        return 2
+        return _fail("IO_ERROR", str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -137,14 +137,11 @@ def read_column_file(path: str | Path) -> Corpus:
     tags: list[str] = []
     repairs = 0
 
-    def close_sentence(lineno: int) -> None:
+    def close_sentence() -> None:
         nonlocal repairs
         if not tokens:
             return
-        try:
-            spans, fixed = bio_to_spans(tags)
-        except FormatError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        spans, fixed = bio_to_spans(tags)  # cannot raise: the per-line tag check below refuses first
         repairs += fixed
         sentences.append(AnnotatedSentence(tuple(tokens), tuple(spans)))
         tokens.clear()
@@ -154,7 +151,7 @@ def read_column_file(path: str | Path) -> Corpus:
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
-            close_sentence(lineno)
+            close_sentence()
             continue
         cols = line.split()
         if len(cols) < 2:
@@ -167,7 +164,7 @@ def read_column_file(path: str | Path) -> Corpus:
             )
         tokens.append(cols[0])
         tags.append(tag)
-    close_sentence(lineno + 1)
+    close_sentence()
 
     corpus = Corpus.from_sentences(sentences, name=path.stem)
     corpus.repair_count = repairs

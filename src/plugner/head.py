@@ -23,6 +23,8 @@ from .data import EntitySpan, Vocab, build_verbalizer_mapping
 from .errors import ShapeError
 from .tensor import Parameter, Tensor
 
+BETA_POLICIES = ("learned", "uniform")  # trained label-word weights, or fixed equal ones
+
 
 @dataclass(frozen=True)
 class IndexSpace:
@@ -85,8 +87,8 @@ class Verbalizer:
         policy: str = "learned",
         mapping: dict[str, tuple[str, ...]] | None = None,
     ) -> None:
-        if policy not in ("learned", "uniform"):
-            raise ValueError(f"beta policy must be 'learned' or 'uniform', got {policy!r}")
+        if policy not in BETA_POLICIES:
+            raise ValueError(f"beta policy must be one of {BETA_POLICIES}, got {policy!r}")
         self.categories: tuple[str, ...] = tuple(sorted(set(label_set)))
         if not self.categories:
             raise ValueError("verbalizer needs at least one category")

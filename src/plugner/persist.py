@@ -28,12 +28,10 @@ import numpy as np
 from .backbone import Backbone, ModelConfig
 from .data import Vocab
 from .errors import ChecksumError, FieldMismatchError, FormatError, VersionError
-from .head import LcHead, NerModel, Verbalizer
+from .head import BETA_POLICIES, LcHead, NerModel, Verbalizer
 from .tensor import Parameter
 
 FORMAT_VERSION = 1
-
-_KINDS = ("checkpoint", "prompt", "lc-head")
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +39,7 @@ _KINDS = ("checkpoint", "prompt", "lc-head")
 
 
 def _write_container(path: str | Path, kind: str, meta: dict, arrays: Mapping[str, np.ndarray]) -> None:
-    assert kind in _KINDS
+    assert kind in _META
     names = sorted(arrays)
     payload = b"".join(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes() for name in names)
     header = {
@@ -58,6 +56,7 @@ def _write_container(path: str | Path, kind: str, meta: dict, arrays: Mapping[st
 
 
 def _read_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The one check of a stored file: kind, version, manifest, checksum, payload, then the kind's meta."""
     path = Path(path)
     with path.open("rb") as fh:
         header_line = fh.readline()
@@ -94,6 +93,10 @@ def _read_container(path: str | Path, kind: str) -> tuple[dict, dict[str, np.nda
         offset += nbytes
     if offset != len(payload):
         raise FormatError(f"{path}: {len(payload) - offset} payload bytes past the end of the manifest")
+    for key, check in _META[kind].items():
+        fault = check(meta.get(key), meta)
+        if fault:
+            raise FormatError(f"{path}: {kind} meta field {key!r} {fault}")
     return meta, arrays
 
 
@@ -114,33 +117,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_mapping(value) -> bool:
-    return isinstance(value, dict) and all(_is_str_list(words) for words in value.values())
+def _typed(test):
+    """A meta check from a test of the field's value alone."""
+    return lambda value, meta: "" if test(value) else "is missing or ill-typed"
 
 
-# The metadata a model or a prompt is rebuilt from, with the test each field must pass.
-_CHECKPOINT_META = {
-    "config": lambda v: isinstance(v, dict),
-    "vocab": _is_str_list,
-    "categories": _is_str_list,
-    "beta_policy": lambda v: isinstance(v, str),
-    "mapping": _is_mapping,
+def _label_words(mapping, meta) -> str:
+    """A verbalizer's mapping gives every stored category at least one label word."""
+    if not (isinstance(mapping, dict) and all(_is_str_list(words) for words in mapping.values())):
+        return "is missing or ill-typed"
+    bare = [cat for cat in meta["categories"] if not mapping.get(cat)]
+    return f"gives category {bare[0]!r} no label words" if bare else ""
+
+
+# Each kind's meta: field -> check(value, meta), which returns the fault or "" (mapping after categories).
+_VERBALIZER_META = {
+    "categories": _typed(lambda v: _is_str_list(v) and len(v) > 0),
+    "beta_policy": _typed(lambda v: v in BETA_POLICIES),
+    "mapping": _label_words,
 }
-_PROMPT_META = {
-    "d_model": _is_int,
-    "prompt_len": _is_int,
-    "guided_layers": lambda v: isinstance(v, dict)
-    and all(isinstance(layers, list) and all(_is_int(i) for i in layers) for layers in v.values()),
-    "categories": _is_str_list,
-    "beta_policy": lambda v: isinstance(v, str),
-    "mapping": _is_mapping,
+_META = {
+    "checkpoint": {"config": _typed(lambda v: isinstance(v, dict)), "vocab": _typed(_is_str_list), **_VERBALIZER_META},
+    "prompt": {
+        "d_model": _typed(_is_int),
+        "prompt_len": _typed(_is_int),
+        "guided_layers": _typed(lambda v: isinstance(v, dict) and all(
+            isinstance(layers, list) and all(_is_int(i) for i in layers) for layers in v.values())),
+        **_VERBALIZER_META,
+    },
+    "lc-head": {"tags": _typed(_is_str_list), "d_model": _typed(_is_int)},
 }
-
-
-def _check_meta(path: str | Path, kind: str, meta: dict, fields: Mapping) -> None:
-    for key, valid in fields.items():
-        if not valid(meta.get(key)):
-            raise FormatError(f"{path}: {kind} meta field {key!r} is missing or ill-typed")
 
 
 def check_fields(what: str, expected: Mapping, found: Mapping) -> None:
@@ -191,7 +197,6 @@ def save_checkpoint(path: str | Path, model: NerModel, seed: int = 0, trained_st
 def load_checkpoint(path: str | Path) -> tuple[NerModel, dict]:
     """Reconstruct a model bitwise from a checkpoint; returns (model, meta)."""
     meta, arrays = _read_container(path, "checkpoint")
-    _check_meta(path, "checkpoint", meta, _CHECKPOINT_META)
     try:
         config = ModelConfig.from_dict(meta["config"])
         vocab = Vocab(meta["vocab"])
@@ -208,10 +213,6 @@ def load_checkpoint(path: str | Path) -> tuple[NerModel, dict]:
     model = NerModel(backbone, vocab, verbalizer)
     install_arrays(f"{path}: stored parameters do not fit the stored config", model.parameters(), arrays)
     return model, meta
-
-
-def check_config_compatible(expected: ModelConfig, found: ModelConfig, context: str = "checkpoint") -> None:
-    check_fields(f"{context} config mismatch", expected.to_dict(), found.to_dict())
 
 
 def backbone_hash(model: NerModel) -> str:
@@ -258,7 +259,7 @@ class PromptFile:
             **self.signature(),
             "categories": list(self.categories),
             "beta_policy": self.beta_policy,
-            "mapping": {c: list(w) for c, w in sorted(self.mapping.items())},
+            "mapping": {c: list(w) for c, w in self.mapping.items()},
         }
 
 
@@ -286,7 +287,9 @@ def save_prompt(path: str | Path, prompt: PromptFile) -> None:
 
 def load_prompt(path: str | Path) -> PromptFile:
     meta, arrays = _read_container(path, "prompt")
-    _check_meta(path, "prompt", meta, _PROMPT_META)
+    stray = [name for name in arrays if not name.startswith(("phi.", "raw."))]
+    if stray:
+        raise FormatError(f"{path}: prompt arrays {stray} are neither phi.<slot> nor raw.<category>")
     phi = {name[len("phi."):]: arr for name, arr in arrays.items() if name.startswith("phi.")}
     raw = {name[len("raw."):]: arr for name, arr in arrays.items() if name.startswith("raw.")}
     return PromptFile(

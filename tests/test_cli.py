@@ -1,14 +1,19 @@
 """Exit codes, error lines, and an end-to-end run of every subcommand."""
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plugner
 from plugner.backbone import MODEL_KEYS, Backbone, ModelConfig
@@ -179,6 +184,65 @@ def test_decode_leaves_overlong_sentences_unlabelled(tmp_path, capsys, tiny_ckpt
     assert rows[-1]["spans"] == [] and len(rows[-1]["tokens"]) == 33
 
 
+def tiny_model():
+    vocab = Vocab("red blue fox owl color animal".split())
+    config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, enc_layers=1,
+                         dec_layers=1, ffn_dim=16, max_len=16, prompt_len=2)
+    backbone = Backbone(config, seed=0)
+    return NerModel(backbone, vocab, Verbalizer(("color",), vocab, backbone.param("embed.tokens")))
+
+
+def rewrite_container(path, mutate_header, extra_payload=b""):
+    """Rewrite a container's header; appended payload bytes get a matching checksum."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    mutate_header(header)
+    payload += extra_payload
+    if extra_payload:
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def without(key):
+    return lambda header: header.pop(key)
+
+
+def set_meta(key, value):
+    return lambda header: header["meta"].__setitem__(key, value)
+
+
+# damaged prompts: (damage, case name, the detail of the one coded line that refuses it)
+PROMPT_DAMAGES = [
+    ("fixed", "policy-fixed", "prompt meta field 'beta_policy' is missing or ill-typed"),
+    ("catless", "no-categories", "prompt meta field 'categories' is missing or ill-typed"),
+    ("unmapped", "unmapped-category", "prompt meta field 'mapping' gives category 'color' no label words"),
+    ("wordless", "wordless-category", "prompt meta field 'mapping' gives category 'color' no label words"),
+    ("junk", "extra-array", "prompt arrays ['junk'] are neither phi.<slot> nor raw.<category>"),
+    ("newline", "newline-in-path", "prompt meta field 'd_model' is missing or ill-typed"),
+]
+
+
+def save_damaged_prompt(directory, damage) -> str:
+    """Save the tiny model's prompt in ``directory`` with one damage; returns its path."""
+    prompt = prompt_from_model(tiny_model())
+    path = directory / f"{damage}.prompt"
+    if damage == "fixed":
+        prompt.beta_policy = "fixed"
+    elif damage == "catless":
+        prompt.categories = ()
+    elif damage == "unmapped":
+        del prompt.mapping["color"]
+    elif damage == "wordless":
+        prompt.mapping["color"], prompt.raw["color"] = (), np.zeros((1, 0))
+    elif damage == "newline":  # the coded line shows the file name's line break folded to a space
+        path, prompt.d_model = directory / "new\nline.prompt", "8"
+    save_prompt(path, prompt)
+    if damage == "junk":
+        rewrite_container(path, lambda header: header["manifest"].append({"name": "junk", "shape": [1]}),
+                          np.zeros(1).tobytes())
+    return str(path)
+
+
 def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
     code = main(["sample", "--input", str(tmp_path / "absent.bio"), "--k", "3",
                  "--out", str(tmp_path / "out.bio")])
@@ -217,11 +281,21 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
         (["mix-prompts", "{tiny}", "{reshaped}", "--out", "{tmp}/m.prompt"],
          2, "CONFIG_MISMATCH: prompts are not mixable: guidance slots differ: "
             "decoder.layer0.phi_v: expected (2, 8), found (1, 8)"),
+        *(
+            (argv, 2, f"FORMAT_ERROR: {{{damage}}}: {detail}")
+            for damage, _, detail in PROMPT_DAMAGES
+            for argv in (
+                ["decode", "--checkpoint", "{ckpt}", "--prompt", f"{{{damage}}}", "--input", "{src}",
+                 "--out", "{tmp}/p.jsonl"],
+                ["mix-prompts", f"{{{damage}}}", f"{{{damage}}}", "--out", "{tmp}/m.prompt"],
+            )
+        ),
     ],
     ids=["pretrain-empty", "pretrain-all-O", "tune-empty", "tune-all-O", "sample-k-0", "sample-k-neg",
          "gen-synth-n-neg", "seed-neg", "gradcheck-h-1", "config-not-utf8", "corpus-not-utf8",
          "spec-not-utf8", "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "prompt-huge-shape",
-         "decode-prompt-missing-slot", "mix-reshaped-slot"],
+         "decode-prompt-missing-slot", "mix-reshaped-slot",
+         *(f"{command}-prompt-{case}" for _, case, _ in PROMPT_DAMAGES for command in ("decode", "mix"))],
 )
 def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, argv, code, prefix):
     # a separate process, so an escaping exception shows up as a traceback on stderr
@@ -232,6 +306,7 @@ def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, a
     (tmp_path / "malformed_x.jsonl").write_text(f'{row}}}\n{row}, "malformed": "x"}}\n')
     (tmp_path / "malformed_null.jsonl").write_text(f'{row}}}\n{row}, "malformed": null}}\n')
     names = {"tmp": str(tmp_path), **{path.stem: str(path) for path in tmp_path.iterdir()}}
+    names.update((damage, save_damaged_prompt(tmp_path, damage)) for damage, _, _ in PROMPT_DAMAGES)
     if "{ckpt}" in argv:
         ckpt, corpus = request.getfixturevalue("tiny_ckpt")
         names.update(ckpt=str(ckpt), src=str(corpus))
@@ -260,7 +335,7 @@ def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, a
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert lines[0].startswith(prefix.format(**names))
+    assert lines[0].startswith(prefix.format(**names).replace("\n", " "))
     assert lines[1:] == []
 
 
@@ -292,14 +367,6 @@ def test_eval_rejects_misaligned_files(tmp_path, capsys):
     assert "6" in err and "1" in err
 
 
-def tiny_model():
-    vocab = Vocab("red blue fox owl color animal".split())
-    config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, enc_layers=1,
-                         dec_layers=1, ffn_dim=16, max_len=16, prompt_len=2)
-    backbone = Backbone(config, seed=0)
-    return NerModel(backbone, vocab, Verbalizer(("color",), vocab, backbone.param("embed.tokens")))
-
-
 def test_checkpoint_and_prompt_kinds_are_not_interchangeable(tmp_path, capsys):
     prompt_path = tmp_path / "task.prompt"
     save_prompt(prompt_path, prompt_from_model(tiny_model()))
@@ -314,25 +381,6 @@ def test_checkpoint_and_prompt_kinds_are_not_interchangeable(tmp_path, capsys):
     assert "'prompt'" in err and "'checkpoint'" in err
 
 
-def rewrite_container(path, mutate_header, extra_payload=b""):
-    """Rewrite a container's header; appended payload bytes get a matching checksum."""
-    header_line, payload = path.read_bytes().split(b"\n", 1)
-    header = json.loads(header_line)
-    mutate_header(header)
-    payload += extra_payload
-    if extra_payload:
-        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
-
-
-def without(key):
-    return lambda header: header.pop(key)
-
-
-def set_meta(key, value):
-    return lambda header: header["meta"].__setitem__(key, value)
-
-
 @pytest.mark.parametrize(
     "mutate, extra, detail",
     [
@@ -345,9 +393,20 @@ def set_meta(key, value):
         (set_meta("beta_policy", None), b"", "'beta_policy'"),
         (set_meta("mapping", {"animal": "fox"}), b"", "'mapping'"),
         (set_meta("config", {"vocab_size": 40, "d_model": "8"}), b"", "does not describe a model"),
+        (set_meta("beta_policy", "fixed"), b"", "checkpoint meta field 'beta_policy' is missing or ill-typed"),
+        (set_meta("categories", []), b"", "checkpoint meta field 'categories' is missing or ill-typed"),
+        (lambda header: header["meta"]["mapping"].pop("color"), b"",
+         "checkpoint meta field 'mapping' gives category 'color' no label words"),
+        (lambda header: header["meta"]["mapping"].__setitem__("color", []), b"",
+         "checkpoint meta field 'mapping' gives category 'color' no label words"),
+        (lambda header: header["meta"]["config"].__setitem__("a\nb", 1), b"", "keyword argument 'a b'"),
+        (lambda header: header["meta"]["config"].__setitem__("caf\u00e9\u2028x", 1), b"",
+         "keyword argument 'caf\u00e9 x'"),
     ],
     ids=["no-manifest", "no-meta", "appended-bytes", "no-config", "vocab-string",
-         "categories-ints", "beta-policy-null", "mapping-string", "config-ill-typed"],
+         "categories-ints", "beta-policy-null", "mapping-string", "config-ill-typed", "beta-policy-fixed",
+         "no-categories", "unmapped-category", "wordless-category", "newline-in-config-key",
+         "line-separator-in-config-key"],
 )
 def test_damaged_checkpoint_is_one_format_error(tmp_path, capsys, tiny_ckpt, mutate, extra, detail):
     ckpt, corpus = tiny_ckpt
@@ -374,6 +433,57 @@ def test_damaged_prompt_is_one_format_error(tmp_path, capsys, tiny_cfg, tiny_ckp
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"FORMAT_ERROR: {prompt}: prompt meta field 'categories' is missing or ill-typed"]
+
+
+@pytest.fixture(scope="module")
+def stored_artifacts(tmp_path_factory):
+    """A tiny checkpoint, its prompt, a corpus and a one-step tuning config, built once for the property."""
+    root = tmp_path_factory.mktemp("stored")
+    (root / "tiny.cfg").write_text(TINY_CFG)
+    (root / "one_step.cfg").write_text("total_steps = 1\n")
+    paths = {name: str(root / name) for name in ("src.bio", "model.ckpt", "task.prompt", "one_step.cfg")}
+    assert main(["gen-synth", "--domain", "source", "--n", "4", "--seed", "1", "--out", paths["src.bio"]]) == 0
+    assert main(["pretrain", "--train", paths["src.bio"], "--out", paths["model.ckpt"],
+                 "--config", str(root / "tiny.cfg")]) == 0
+    save_prompt(paths["task.prompt"], prompt_from_model(load_checkpoint(paths["model.ckpt"])[0]))
+    return root, paths
+
+
+WORDS = st.one_of(st.sampled_from(["", "color", "animal", "red", "learned", "uniform", "fixed", "a\nb"]),
+                  st.text(max_size=3))
+SMALL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 40), st.floats(allow_nan=True), WORDS,
+    st.lists(WORDS, max_size=3), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(WORDS, st.one_of(st.lists(WORDS, max_size=2), st.integers(-1, 3)), max_size=2),
+)
+DROP = object()
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_any_one_meta_edit_ends_in_a_result_or_one_coded_line(stored_artifacts, data):
+    # drop or replace one meta key of a checkpoint or a prompt, then run every command that reads it
+    root, paths = stored_artifacts
+    kind = data.draw(st.sampled_from(["model.ckpt", "task.prompt"]))
+    damaged = root / f"damaged{Path(kind).suffix}"
+    damaged.write_bytes(Path(paths[kind]).read_bytes())
+    key = data.draw(st.sampled_from(sorted(json.loads(damaged.read_bytes().split(b"\n", 1)[0])["meta"])))
+    value = data.draw(st.one_of(st.just(DROP), SMALL_VALUES))
+    rewrite_container(damaged, (lambda header: header["meta"].pop(key)) if value is DROP else set_meta(key, value))
+    if kind == "model.ckpt":
+        runs = [["decode", "--checkpoint", str(damaged), "--input", paths["src.bio"], "--out", str(root / "p.jsonl")],
+                ["tune", "--checkpoint", str(damaged), "--train", paths["src.bio"], "--config", paths["one_step.cfg"],
+                 "--out-prompt", str(root / "tuned.prompt")]]
+    else:
+        runs = [["decode", "--checkpoint", paths["model.ckpt"], "--prompt", str(damaged), "--input", paths["src.bio"],
+                 "--out", str(root / "p.jsonl")],
+                ["mix-prompts", paths["task.prompt"], str(damaged), "--out", str(root / "mixed.prompt")]]
+    for argv in runs:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code == 0 or (code == 2 and len(lines) == 1 and re.match(r"[A-Z_]+: ", lines[0])), (argv[0], lines)
 
 
 def test_full_pipeline_round_trip(tmp_path, capsys, tiny_cfg):

@@ -17,7 +17,7 @@ from plugner.persist import (
     PromptFile,
     apply_prompt,
     backbone_hash,
-    check_config_compatible,
+    check_fields,
     load_checkpoint,
     load_lc_head,
     load_prompt,
@@ -225,7 +225,7 @@ def test_config_compatibility_names_every_field():
         ffn_dim=16, max_len=16, prompt_len=2, alpha=0.25,
     )
     with pytest.raises(FieldMismatchError) as err:
-        check_config_compatible(a, b)
+        check_fields("checkpoint config mismatch", a.to_dict(), b.to_dict())
     assert "d_model" in str(err.value)
     assert "alpha" in str(err.value)
 
@@ -448,6 +448,15 @@ def test_lc_head_rejects_a_file_without_w(tmp_path):
     save_lc_head(path, LcHead(8, ("A", "B"), seed=0))
     drop_array(path, "W")
     with pytest.raises(FieldMismatchError, match=r"lc\.W: expected \(8, 5\), found None"):
+        load_lc_head(path, ("A", "B"), d_model=8)
+
+
+@pytest.mark.parametrize("key, value", [("tags", None), ("tags", "B-A I-A"), ("d_model", None), ("d_model", "8")])
+def test_lc_head_with_damaged_meta_is_a_format_error(tmp_path, key, value):
+    path = tmp_path / "head.lc"
+    save_lc_head(path, LcHead(8, ("A", "B"), seed=0))
+    rewrite_header(path, lambda h: h["meta"].pop(key) if value is None else h["meta"].__setitem__(key, value))
+    with pytest.raises(FormatError, match=f"lc-head meta field '{key}' is missing or ill-typed"):
         load_lc_head(path, ("A", "B"), d_model=8)
 
 
