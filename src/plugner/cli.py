@@ -217,7 +217,7 @@ def cmd_tune(args, cfg: dict) -> int:
         if args.metrics:
             report.write_json(args.metrics)
         if args.csv:
-            append_csv_row(args.csv, report, seed=args.seed, k_shot=args.k_shot,
+            append_csv_row(args.csv, report, k_shot=args.k_shot,
                            source=args.source or meta.get("seed", ""), target=args.target or train.name)
     return 0
 
@@ -239,11 +239,10 @@ def cmd_decode(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     gold = _load_corpus(args.gold, "the gold corpus")
     predictions, malformed = read_predictions(args.pred)
-    report = evaluate(gold, predictions, malformed_outputs=malformed, seed=args.seed)
+    report = replace(evaluate(gold, predictions, malformed_outputs=malformed), seed=args.seed)
     report.write_json(args.out)
     if args.csv:
-        append_csv_row(args.csv, report, seed=args.seed, k_shot=args.k_shot,
-                       source=args.source, target=args.target or gold.name)
+        append_csv_row(args.csv, report, k_shot=args.k_shot, source=args.source, target=args.target or gold.name)
     print(f"P {report.precision:.4f} / R {report.recall:.4f} / F1 {report.f1:.4f} "
           f"({report.tp} tp, {report.fp} fp, {report.fn} fn); report at {args.out}")
     return 0
@@ -322,6 +321,12 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_in_range(int, 0), default=1, help="random seed, >= 0 (default 1)")
     common.add_argument("--config", default=None, help="key=value config file")
+    # the result-row flags of the two commands that write results.csv
+    result_row = _Parser(add_help=False)
+    result_row.add_argument("--csv", help="append a result row to this CSV")
+    result_row.add_argument("--k-shot", type=_in_range(int, 0), default=0, help="k of the few-shot run, >= 0")
+    result_row.add_argument("--source", default="")
+    result_row.add_argument("--target", default="")
 
     parser = _Parser(prog="plugner", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -342,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", help="write a dev metrics JSON here")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("tune", parents=[common], help="frozen-backbone adaptation to a target corpus")
+    p = sub.add_parser("tune", parents=[common, result_row], help="frozen-backbone adaptation to a target corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--dev")
@@ -350,10 +355,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fresh-guidance", action="store_true",
                    help="redraw guidance instead of warm-starting from the checkpoint")
     p.add_argument("--metrics")
-    p.add_argument("--csv", help="append a result row to this CSV")
-    p.add_argument("--k-shot", type=int, default=0)
-    p.add_argument("--source", default="")
-    p.add_argument("--target", default="")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("decode", parents=[common], help="greedy-decode a corpus to predictions")
@@ -363,14 +364,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="predictions JSONL")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("eval", parents=[common], help="score predictions against gold")
+    p = sub.add_parser("eval", parents=[common, result_row], help="score predictions against gold")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True, help="metrics JSON")
-    p.add_argument("--csv")
-    p.add_argument("--k-shot", type=int, default=0)
-    p.add_argument("--source", default="")
-    p.add_argument("--target", default="")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", parents=[common], help="draw a few-shot subset of a corpus")
@@ -387,7 +384,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference audit of the tuning loss on a tiny model")
     p.add_argument("--h", type=_in_range(float, *FD_STEP_RANGE), default=3e-5, help="central-difference step")
-    p.add_argument("--tol", type=float, default=1e-5, help="max relative error allowed")
+    p.add_argument("--tol", type=_in_range(float, 0), default=1e-5, help="max relative error allowed, >= 0")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("param-report", parents=[common], help="trainable-parameter accounting")

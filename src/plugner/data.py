@@ -431,8 +431,8 @@ def synthetic_corpus(spec: DomainSpec, n_sentences: int, seed: int) -> Corpus:
     return Corpus(sentences=sentences, label_set=spec.label_set, name=spec.name)
 
 
-def parse_domain_spec(path: str | Path, name: str | None = None) -> DomainSpec:
-    """Read a domain spec file.
+def parse_domain_spec(path: str | Path) -> DomainSpec:
+    """Read a domain spec file; the domain is named after the file's stem.
 
     Line format: ``category: lexeme, lexeme, ...`` for inventories and
     ``template: the {category} ...`` for sentence patterns. ``#`` starts
@@ -457,7 +457,7 @@ def parse_domain_spec(path: str | Path, name: str | None = None) -> DomainSpec:
                 raise FormatError(f"{path}:{lineno}: category {head!r} lists no lexemes")
             categories[head] = lexemes
     try:
-        return DomainSpec(name=name or path.stem, categories=categories, templates=tuple(templates))
+        return DomainSpec(name=path.stem, categories=categories, templates=tuple(templates))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

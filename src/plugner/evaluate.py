@@ -67,14 +67,13 @@ def evaluate(
     gold: Corpus | Sequence[Iterable[EntitySpan]],
     predictions: Sequence[Iterable[EntitySpan]],
     malformed_outputs: int = 0,
-    seed: int | None = None,
-    config_digest: str = "",
 ) -> MetricsReport:
     """Micro-averaged exact-match P/R/F1 over aligned sentences.
 
     A prediction is a true positive iff start, end, and category all
     match a gold span; duplicates on either side count once. F1 is zero
-    when precision and recall are both zero.
+    when precision and recall are both zero. The report's ``seed`` and
+    ``config_digest`` are left unset: the command that writes it stamps them.
     """
     gold_sets = [set(s.spans) for s in gold.sentences] if isinstance(gold, Corpus) else [set(g) for g in gold]
     if len(gold_sets) != len(predictions):
@@ -112,8 +111,6 @@ def evaluate(
         n_sentences=len(gold_sets),
         per_category=per_category,
         malformed_outputs=malformed_outputs,
-        seed=seed,
-        config_digest=config_digest,
     )
 
 
@@ -123,38 +120,26 @@ def config_digest(config: Mapping[str, object]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def append_csv_row(
-    path: str | Path,
-    report: MetricsReport,
-    seed: int,
-    k_shot: int,
-    source: str,
-    target: str,
-) -> None:
-    """Append one result row, writing the fixed header on first touch."""
+def append_csv_row(path: str | Path, report: MetricsReport, k_shot: int, source: str, target: str) -> None:
+    """Append the report's result row, its seed first, writing the fixed header on first touch."""
     path = Path(path)
     fresh = not path.exists() or path.stat().st_size == 0
     with path.open("a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(CSV_COLUMNS)
-        writer.writerow(
-            [seed, k_shot, source, target, f"{report.precision:.6f}", f"{report.recall:.6f}", f"{report.f1:.6f}"]
-        )
+        writer.writerow([report.seed, k_shot, source, target,
+                         f"{report.precision:.6f}", f"{report.recall:.6f}", f"{report.f1:.6f}"])
 
 
 def write_predictions(path: str | Path, sentences, span_lists: Sequence[Iterable[EntitySpan]],
-                      malformed: Sequence[int] | None = None) -> None:
-    """One JSON object per line: tokens plus predicted [start, end, category] triples."""
-    rows = []
-    for i, (sent, spans) in enumerate(zip(sentences, span_lists)):
-        row = {
-            "tokens": list(sent.tokens),
-            "spans": [[s.start, s.end, s.category] for s in spans],
-        }
-        if malformed is not None:
-            row["malformed"] = malformed[i]
-        rows.append(json.dumps(row, sort_keys=True))
+                      malformed: Sequence[int]) -> None:
+    """One JSON object per line: tokens, predicted [start, end, category] triples and the malformed count."""
+    rows = [
+        json.dumps({"tokens": list(sent.tokens), "spans": [[s.start, s.end, s.category] for s in spans],
+                    "malformed": bad}, sort_keys=True)
+        for sent, spans, bad in zip(sentences, span_lists, malformed, strict=True)
+    ]
     Path(path).write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
 
 
@@ -169,7 +154,7 @@ def read_predictions(path: str | Path) -> tuple[list[list[EntitySpan]], int]:
             row = json.loads(line)
             spans = [EntitySpan(int(s), int(e), str(c)) for s, e, c in row["spans"]]
             malformed += int(row.get("malformed", 0))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}:{lineno}: bad prediction row ({exc})") from None
         span_lists.append(spans)
     return span_lists, malformed

@@ -143,9 +143,9 @@ def record() -> Iterator[Tape]:
         _ACTIVE = prev
 
 
-def _emit(out_data: np.ndarray, pull: Callable[[np.ndarray], None] | None) -> Tensor:
+def _emit(out_data: np.ndarray, pull: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(out_data)
-    if _ACTIVE is not None and pull is not None:
+    if _ACTIVE is not None:
         _ACTIVE._append(out, pull)
     return out
 

@@ -56,13 +56,13 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.total_steps < 1:
             raise ValueError(f"total_steps must be positive, got {self.total_steps}")
-        if self.peak_lr <= 0:
-            raise ValueError(f"peak_lr must be positive, got {self.peak_lr}")
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0 (0 turns decay off), got {self.weight_decay}")
-        if self.clip_norm < 0:
+        if not self.clip_norm >= 0:
             raise ValueError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
@@ -335,7 +335,6 @@ def optimizer_steps(
 class TrainResult:
     steps: int
     history: list[tuple[int, float, float]] = field(default_factory=list)  # (step, mean loss, dev F1)
-    final_f1: float = float("nan")
     stopped_early: bool = False
     dev_report: MetricsReport | None = None  # the last dev evaluation, of the final model
 
@@ -373,10 +372,9 @@ def run_training(
         if dev is None or (result.steps % cadence and result.steps < optimizer.config.total_steps):
             continue
         result.dev_report = corpus_report(model, dev)
-        result.final_f1 = result.dev_report.f1
-        result.history.append((result.steps, sum(recent) / len(recent), result.final_f1))
+        result.history.append((result.steps, sum(recent) / len(recent), result.dev_report.f1))
         recent.clear()
-        if result.steps % cadence == 0 and f1_target is not None and result.final_f1 >= f1_target:
+        if result.steps % cadence == 0 and f1_target is not None and result.dev_report.f1 >= f1_target:
             result.stopped_early = True
             break
     return result

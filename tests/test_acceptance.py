@@ -447,7 +447,7 @@ def transfer_lab(tmp_path_factory):
 
 def test_06_class_and_domain_transfer(transfer_lab, tmp_path):
     lab = transfer_lab
-    dev_ok = lab.pretrain.final_f1 >= 0.95
+    dev_ok = lab.pretrain.dev_report.f1 >= 0.95
     test_ok = lab.test_report.f1 >= 0.90
     time_ok = lab.elapsed <= 600.0
     counts_ok = all(v == 20 for v in lab.sample.counts.values())
@@ -473,7 +473,7 @@ def test_06_class_and_domain_transfer(transfer_lab, tmp_path):
     _verdict(
         "06 class+domain transfer",
         ok,
-        f"source dev F1 {lab.pretrain.final_f1:.4f} (>=0.95), target test F1 "
+        f"source dev F1 {lab.pretrain.dev_report.f1:.4f} (>=0.95), target test F1 "
         f"{lab.test_report.f1:.4f} (>=0.90), {lab.elapsed:.0f}s (<=600s), "
         f"k=20 quotas {dict(lab.sample.counts)}, lc-head target load rejected: {rejected}",
     )

@@ -135,9 +135,13 @@ def test_config_with_bad_number_is_rejected(tmp_path, capsys):
     ("tune", "epochs = -5\n", "epochs must be at least 1, got -5"),
     ("tune", "weight_decay = -1\n", "weight_decay must be >= 0 (0 turns decay off), got -1.0"),
     ("tune", "clip_norm = -2\n", "clip_norm must be >= 0 (0 turns clipping off), got -2.0"),
+    ("tune", "weight_decay = nan\n", "weight_decay must be >= 0 (0 turns decay off), got nan"),
+    ("tune", "clip_norm = nan\n", "clip_norm must be >= 0 (0 turns clipping off), got nan"),
+    ("pretrain", "peak_lr = nan\n", "peak_lr must be positive and finite, got nan"),
+    ("tune", "peak_lr = inf\n", "peak_lr must be positive and finite, got inf"),
 ], ids=["n_heads", "guidance_mode", "peak_lr", "eval_every-zero", "eval_every-negative", "ffn_dim-negative",
         "ffn_dim-zero", "total_steps-zero", "epochs-zero", "epochs-negative", "weight_decay-negative",
-        "clip_norm-negative"])
+        "clip_norm-negative", "weight_decay-nan", "clip_norm-nan", "peak_lr-nan", "peak_lr-inf"])
 def test_config_with_invalid_value_is_rejected(tmp_path, capsys, tiny_ckpt, command, text, detail):
     ckpt, corpus = tiny_ckpt
     cfg = tmp_path / "bad.cfg"
@@ -264,6 +268,12 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
         (["gen-synth", "--domain", "source", "--n", "-1", "--out", "{tmp}/g.bio"], 1, "USAGE: argument --n"),
         (["gradcheck", "--seed", "-1"], 1, "USAGE: argument --seed"),
         (["gradcheck", "--h", "1"], 1, "USAGE: argument --h"),
+        (["gradcheck", "--tol", "-1"], 1, "USAGE: argument --tol"),
+        (["gradcheck", "--tol", "nan"], 1, "USAGE: argument --tol"),
+        (["eval", "--gold", "{all_o}", "--pred", "{pred_ok}", "--out", "{tmp}/e.json", "--k-shot", "-3"],
+         1, "USAGE: argument --k-shot"),
+        (["tune", "--checkpoint", "{tmp}/m.ckpt", "--train", "{all_o}", "--out-prompt", "{tmp}/t.prompt",
+          "--k-shot", "-3"], 1, "USAGE: argument --k-shot"),
         (["gradcheck", "--config", "{latin1}"], 1, "USAGE: {latin1}: not UTF-8 text"),
         (["sample", "--input", "{latin1}", "--k", "1", "--out", "{tmp}/s.bio"], 2, "FORMAT_ERROR: {latin1}: not UTF-8"),
         (["gen-synth", "--spec", "{latin1}", "--out", "{tmp}/g.bio"], 2, "FORMAT_ERROR: {latin1}: not UTF-8"),
@@ -273,6 +283,8 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
          2, "FORMAT_ERROR: {malformed_x}:2: bad prediction row"),
         (["eval", "--gold", "{all_o}", "--pred", "{malformed_null}", "--out", "{tmp}/e.json"],
          2, "FORMAT_ERROR: {malformed_null}:2: bad prediction row"),
+        (["eval", "--gold", "{all_o}", "--pred", "{span_huge}", "--out", "{tmp}/e.json"],
+         2, "FORMAT_ERROR: {span_huge}:2: bad prediction row"),
         (["mix-prompts", "{huge}", "{huge}", "--out", "{tmp}/m.prompt"],
          2, "CHECKSUM_MISMATCH: {huge}: payload shorter than its manifest"),
         (["decode", "--checkpoint", "{ckpt}", "--prompt", "{slotless}", "--input", "{src}", "--out", "{tmp}/p.jsonl"],
@@ -292,8 +304,9 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
         ),
     ],
     ids=["pretrain-empty", "pretrain-all-O", "tune-empty", "tune-all-O", "sample-k-0", "sample-k-neg",
-         "gen-synth-n-neg", "seed-neg", "gradcheck-h-1", "config-not-utf8", "corpus-not-utf8",
-         "spec-not-utf8", "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "prompt-huge-shape",
+         "gen-synth-n-neg", "seed-neg", "gradcheck-h-1", "gradcheck-tol-neg", "gradcheck-tol-nan",
+         "eval-k-shot-neg", "tune-k-shot-neg", "config-not-utf8", "corpus-not-utf8", "spec-not-utf8",
+         "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "pred-span-huge", "prompt-huge-shape",
          "decode-prompt-missing-slot", "mix-reshaped-slot",
          *(f"{command}-prompt-{case}" for _, case, _ in PROMPT_DAMAGES for command in ("decode", "mix"))],
 )
@@ -305,6 +318,8 @@ def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, a
     row = '{"spans": [], "tokens": ["red", "fox"]'
     (tmp_path / "malformed_x.jsonl").write_text(f'{row}}}\n{row}, "malformed": "x"}}\n')
     (tmp_path / "malformed_null.jsonl").write_text(f'{row}}}\n{row}, "malformed": null}}\n')
+    (tmp_path / "pred_ok.jsonl").write_text(f'{row}}}\n{row}}}\n')
+    (tmp_path / "span_huge.jsonl").write_text(f'{row}}}\n{{"spans": [[1e400, 1, "x"]], "tokens": ["a"]}}\n')
     names = {"tmp": str(tmp_path), **{path.stem: str(path) for path in tmp_path.iterdir()}}
     names.update((damage, save_damaged_prompt(tmp_path, damage)) for damage, _, _ in PROMPT_DAMAGES)
     if "{ckpt}" in argv:

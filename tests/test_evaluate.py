@@ -1,5 +1,6 @@
 """Exact-match scoring, report files, and the results CSV."""
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -107,7 +108,7 @@ def test_micro_average_pools_counts():
 
 def test_json_report_schema(tmp_path):
     gold = [[span(1, 2, "A")]]
-    report = evaluate(gold, [[span(1, 2, "A")]], malformed_outputs=3, seed=42, config_digest="abc123")
+    report = replace(evaluate(gold, [[span(1, 2, "A")]], malformed_outputs=3), seed=42, config_digest="abc123")
     path = tmp_path / "metrics.json"
     report.write_json(path)
     data = json.loads(path.read_text())
@@ -130,8 +131,8 @@ def test_config_digest_is_stable_and_order_free():
 def test_csv_rows_append_with_single_header(tmp_path):
     path = tmp_path / "results.csv"
     report = evaluate([[span(1, 1, "A")]], [[span(1, 1, "A")]])
-    append_csv_row(path, report, seed=1, k_shot=20, source="source", target="target")
-    append_csv_row(path, report, seed=2, k_shot=20, source="source", target="target")
+    append_csv_row(path, replace(report, seed=1), k_shot=20, source="source", target="target")
+    append_csv_row(path, replace(report, seed=2), k_shot=20, source="source", target="target")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 3
@@ -157,11 +158,13 @@ def test_predictions_round_trip(tmp_path):
     first = json.loads(path.read_text().splitlines()[0])
     assert first["tokens"] == ["a", "red", "door"]
     assert first["spans"] == [[2, 2, "color"]]
+    with pytest.raises(ValueError):  # a missing span list is an error, not a shorter file
+        write_predictions(path, sents, spans[:1], malformed=[1, 0])
 
 
 def test_empty_predictions_file(tmp_path):
     path = tmp_path / "pred.jsonl"
-    write_predictions(path, [], [])
+    write_predictions(path, [], [], [])
     loaded, malformed = read_predictions(path)
     assert loaded == []
     assert malformed == 0
@@ -176,3 +179,7 @@ def test_malformed_prediction_row_names_the_line(tmp_path):
     path.write_text(json.dumps({"tokens": ["a"]}) + "\n", encoding="utf-8")
     with pytest.raises(FormatError, match=":1"):
         read_predictions(path)
+    for row in ('{"tokens": ["a"], "spans": [[1e400, 1, "x"]]}', '{"tokens": ["a"], "spans": [], "malformed": 1e400}'):
+        path.write_text(good + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"pred\.jsonl:2: bad prediction row"):
+            read_predictions(path)

@@ -494,7 +494,7 @@ def test_memorizes_a_small_corpus():
         eval_every=20,
         f1_target=1.0,
     )
-    assert result.final_f1 == 1.0
+    assert result.dev_report.f1 == 1.0
     assert result.stopped_early
     assert result.history, "expected at least one recorded evaluation"
     steps, losses, f1s = zip(*result.history)
@@ -526,7 +526,7 @@ def test_dev_report_scores_the_final_model():
     assert [step for step, _, _ in result.history] == [2, 4, 5]
     predictions, malformed = decode_corpus(model, corpus)
     assert result.dev_report == evaluate(corpus, predictions, malformed_outputs=sum(malformed))
-    assert result.final_f1 == result.dev_report.f1 == result.history[-1][2]
+    assert result.dev_report.f1 == result.history[-1][2]
     assert tune_guidance(model, corpus, None, OptimizerConfig(total_steps=1)).dev_report is None
 
 
