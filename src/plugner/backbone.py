@@ -283,17 +283,6 @@ class Backbone:
             source = kv if cross else x
             k, v = self._linear(base, "k", source), self._linear(base, "v", source)
 
-        if phi is not None:
-            phi_k, phi_v = phi
-            if phi_k.data.shape[1] != cfg.d_model or phi_v.data.shape[1] != cfg.d_model:
-                raise ShapeError(
-                    f"guidance width {phi_k.data.shape} / {phi_v.data.shape} does not match d_model {cfg.d_model}"
-                )
-            if phi_k.data.shape != phi_v.data.shape:
-                raise ShapeError(
-                    f"phi_k shape {phi_k.data.shape} does not match phi_v shape {phi_v.data.shape}"
-                )
-
         if not cross:
             # the rows in front of x: the cached rows if any, else the guidance prefix
             front = phi if cache is None else cache.self_kv.get(layer, phi)
@@ -307,7 +296,7 @@ class Backbone:
 
     def _linear(self, base: str, piece: str, x: Tensor) -> Tensor:
         """x W + b with the weights ``{base}.W{piece}`` and ``{base}.b{piece}``."""
-        return T.add(T.matmul(x, self.param(f"{base}.W{piece}").value), self.param(f"{base}.b{piece}").value)
+        return T.linear(x, self.param(f"{base}.W{piece}").value, self.param(f"{base}.b{piece}").value)
 
     def _layer_norm(self, base: str, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.param(f"{base}.gain").value, self.param(f"{base}.bias").value)

@@ -172,7 +172,15 @@ def _dev_summary(result: TrainResult, seed: int, config: ModelConfig) -> tuple[M
     return report, f"dev F1 {report.f1:.4f}"
 
 
+def _require_dev(args, *flags: str) -> None:
+    """Refuse results files that only a dev report fills, asked for without --dev."""
+    asked = [f"--{flag}" for flag in flags if getattr(args, flag)]
+    if asked and not args.dev:
+        raise UsageError(f"nothing to write to {' and '.join(asked)} without --dev: results come from the dev report")
+
+
 def cmd_pretrain(args, cfg: dict) -> int:
+    _require_dev(args, "metrics")
     train = _load_training_corpus(args.train, "the training corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
     extras = [_load_corpus(p, p) for p in args.vocab_extra]
@@ -193,12 +201,13 @@ def cmd_pretrain(args, cfg: dict) -> int:
     save_checkpoint(args.out, model, seed=args.seed, trained_steps=result.steps)
     report, dev_note = _dev_summary(result, args.seed, config)
     print(f"pretrained {result.steps} steps; {dev_note}; checkpoint at {args.out}")
-    if args.metrics and report is not None:
+    if args.metrics:
         report.write_json(args.metrics)
     return 0
 
 
 def cmd_tune(args, cfg: dict) -> int:
+    _require_dev(args, "metrics", "csv")
     model, meta = _load_checked_checkpoint(args, cfg)
     train = _load_training_corpus(args.train, "the tuning corpus")
     dev = _load_corpus(args.dev, "the dev corpus") if args.dev else None
@@ -213,12 +222,11 @@ def cmd_tune(args, cfg: dict) -> int:
     save_prompt(args.out_prompt, prompt_from_model(model))
     report, dev_note = _dev_summary(result, args.seed, model.config)
     print(f"tuned {result.steps} steps; {dev_note}; prompt at {args.out_prompt}")
-    if report is not None:
-        if args.metrics:
-            report.write_json(args.metrics)
-        if args.csv:
-            append_csv_row(args.csv, report, k_shot=args.k_shot,
-                           source=args.source or meta.get("seed", ""), target=args.target or train.name)
+    if args.metrics:
+        report.write_json(args.metrics)
+    if args.csv:
+        append_csv_row(args.csv, report, k_shot=args.k_shot,
+                       source=args.source or meta.get("seed", ""), target=args.target or train.name)
     return 0
 
 

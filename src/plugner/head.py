@@ -368,10 +368,3 @@ class LcHead:
 
     def parameters(self) -> list[Parameter]:
         return [self.W, self.b]
-
-
-def lc_baseline_logits(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Tag logits per token row: h W + b (a softmax over each row gives the tag distribution)."""
-    if h.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"hidden width {h.data.shape} does not match classifier shape {w.data.shape}")
-    return T.add(T.matmul(h, w), b)

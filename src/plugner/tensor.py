@@ -1,15 +1,15 @@
 """Dense float64 tensors with a tape for reverse-mode differentiation.
 
 The op set is the minimum a small guided transformer needs: matrix
-multiply, elementwise add/multiply, scalar scaling, row softmax (plus a
-fused log-softmax for losses), layer normalisation, row gather,
-concatenation and slicing, transpose, GELU/tanh, an additive mask,
-multi-head attention fused into one op with a hand-written backward, and
-a full reduction. Attention takes no mask: it applies the causal rule
-itself, the rows in front of the token rows exempt. Tensors are float64
-and 1-D or 2-D; the row-wise ops take 2-D operands, and the only
-broadcasting is adding a (k,) or (1, k) row to every row of an n x k
-matrix.
+multiply, a linear layer (x W + b as one op), elementwise add/multiply,
+scalar scaling, row softmax (plus a fused log-softmax for losses), layer
+normalisation, row gather, concatenation and slicing, transpose,
+GELU/tanh, an additive mask, multi-head attention fused into one op with
+a hand-written backward, and a full reduction. Attention takes no mask:
+it applies the causal rule itself, the rows in front of the token rows
+exempt. Tensors are float64 and 1-D or 2-D; the row-wise ops take 2-D
+operands, and the only broadcasting is adding a row to every row of an
+n x k matrix: linear's (k,) bias, or a (k,) or (1, k) row given to add.
 
 Recording is opt-in. Ops executed inside a ``record()`` block append one
 tape entry each; outside a block they only compute values, which keeps
@@ -164,6 +164,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def pull(g: np.ndarray) -> None:
         a._bump(g @ b.data.T)
         b._bump(a.data.T @ g)
+
+    return _emit(out_data, pull)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x W + b as one tape entry; the (k,) bias is added to every row of the n x k product."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear needs 2-D operands, got {x.data.shape} @ {w.data.shape}")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear shapes do not chain: {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear bias {b.data.shape} does not match weight {w.data.shape}")
+    out_data = x.data @ w.data + b.data
+
+    def pull(g: np.ndarray) -> None:
+        x._bump(g @ w.data.T)
+        w._bump(x.data.T @ g)
+        b._bump(g.sum(axis=0))
 
     return _emit(out_data, pull)
 

@@ -29,7 +29,6 @@ from .head import (
     feedback_rows,
     greedy_decode,
     indices_from_spans,
-    lc_baseline_logits,
     score_keys,
     spans_from_indices,
     step_scores,
@@ -308,24 +307,26 @@ def optimizer_steps(
         order = rng.permutation(len(examples))
         for lo in range(0, len(order), batch_size):
             batch = order[lo : lo + batch_size]
-            optimizer.zero_grad()
-            batch_loss = 0.0
-            for idx in batch:
-                inputs, targets = examples[int(idx)]
-                with record() as tape:
-                    loss = loss_fn(inputs, targets)
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    raise DivergedError(
-                        f"non-finite loss at step {optimizer.step_count + 1}; "
-                        f"last finite step was {optimizer.step_count}"
-                    )
-                tape.backward(loss)
-                batch_loss += value / len(targets)
-            for p in optimizer.params:
-                if p.value.grad is not None:
-                    p.value.grad /= len(batch)
-            optimizer.step()
+            # overflow on the way to a non-finite loss is silent: that loss is the one report of it
+            with np.errstate(over="ignore", invalid="ignore"):
+                optimizer.zero_grad()
+                batch_loss = 0.0
+                for idx in batch:
+                    inputs, targets = examples[int(idx)]
+                    with record() as tape:
+                        loss = loss_fn(inputs, targets)
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise DivergedError(
+                            f"non-finite loss at step {optimizer.step_count + 1}; "
+                            f"last finite step was {optimizer.step_count}"
+                        )
+                    tape.backward(loss)
+                    batch_loss += value / len(targets)
+                for p in optimizer.params:
+                    if p.value.grad is not None:
+                        p.value.grad /= len(batch)
+                optimizer.step()
             yield batch_loss / len(batch)
             if optimizer.step_count >= total_steps:
                 return
@@ -460,7 +461,7 @@ def train_lc_head(model: NerModel, head, corpus: Corpus, steps: int = 50, lr: fl
     optimizer = AdamW(head.parameters(), cfg)
 
     def loss_fn(h_data, tag_ids):
-        return nll(lc_baseline_logits(Tensor(h_data), head.W.value, head.b.value), tag_ids)
+        return nll(T.linear(Tensor(h_data), head.W.value, head.b.value), tag_ids)
 
     for _ in optimizer_steps(optimizer, encoded, loss_fn, seed):
         pass

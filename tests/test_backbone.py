@@ -1,5 +1,6 @@
 """Guided attention, encoder/decoder stacks, and layer selection."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,13 +368,16 @@ def test_full_width_prefix_is_bitwise_the_per_head_prefix(prompt_len, causal, n)
 
 
 def test_guidance_width_mismatch_rejected():
+    # the ops check the joined memory: concat refuses the width, attention the unequal key/value rows
     backbone = Backbone(config(prompt_len=2), seed=0)
     bad = Tensor(np.zeros((2, 5)))
     good = Tensor(np.zeros((2, 8)))
-    with pytest.raises(ShapeError, match="d_model"):
-        backbone.attention_with_guidance(
-            "encoder", 0, Tensor(np.zeros((3, 8))), (bad, good), causal=False
-        )
+    short = Tensor(np.zeros((1, 8)))
+    x = Tensor(np.zeros((3, 8)))
+    with pytest.raises(ShapeError, match=re.escape("[(2, 5), (3, 8)]")):
+        backbone.attention_with_guidance("encoder", 0, x, (bad, good), causal=False)
+    with pytest.raises(ShapeError, match=re.escape("keys (5, 8) and values (4, 8)")):
+        backbone.attention_with_guidance("encoder", 0, x, (good, short), causal=False)
 
 
 def test_zeroed_guidance_differs_from_no_guidance():

@@ -274,6 +274,15 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
          1, "USAGE: argument --k-shot"),
         (["tune", "--checkpoint", "{tmp}/m.ckpt", "--train", "{all_o}", "--out-prompt", "{tmp}/t.prompt",
           "--k-shot", "-3"], 1, "USAGE: argument --k-shot"),
+        # a missing checkpoint and an all-O corpus would fail later: the usage check comes first
+        (["tune", "--checkpoint", "{tmp}/m.ckpt", "--train", "{all_o}", "--out-prompt", "{tmp}/t.prompt",
+          "--csv", "{tmp}/r.csv"], 1, "USAGE: nothing to write to --csv without --dev"),
+        (["tune", "--checkpoint", "{tmp}/m.ckpt", "--train", "{all_o}", "--out-prompt", "{tmp}/t.prompt",
+          "--metrics", "{tmp}/r.json", "--csv", "{tmp}/r.csv"], 1, "USAGE: nothing to write to --metrics and --csv"),
+        (["pretrain", "--train", "{all_o}", "--out", "{tmp}/m.ckpt", "--metrics", "{tmp}/p.json"],
+         1, "USAGE: nothing to write to --metrics without --dev"),
+        (["tune", "--checkpoint", "{ckpt}", "--train", "{src}", "--out-prompt", "{tmp}/t.prompt",
+          "--config", "{diverge}"], 2, "DIVERGED: non-finite loss at step 3"),
         (["gradcheck", "--config", "{latin1}"], 1, "USAGE: {latin1}: not UTF-8 text"),
         (["sample", "--input", "{latin1}", "--k", "1", "--out", "{tmp}/s.bio"], 2, "FORMAT_ERROR: {latin1}: not UTF-8"),
         (["gen-synth", "--spec", "{latin1}", "--out", "{tmp}/g.bio"], 2, "FORMAT_ERROR: {latin1}: not UTF-8"),
@@ -305,7 +314,8 @@ def test_missing_input_file_is_a_runtime_error(tmp_path, capsys):
     ],
     ids=["pretrain-empty", "pretrain-all-O", "tune-empty", "tune-all-O", "sample-k-0", "sample-k-neg",
          "gen-synth-n-neg", "seed-neg", "gradcheck-h-1", "gradcheck-tol-neg", "gradcheck-tol-nan",
-         "eval-k-shot-neg", "tune-k-shot-neg", "config-not-utf8", "corpus-not-utf8", "spec-not-utf8",
+         "eval-k-shot-neg", "tune-k-shot-neg", "tune-csv-no-dev", "tune-metrics-csv-no-dev",
+         "pretrain-metrics-no-dev", "tune-huge-weight-decay", "config-not-utf8", "corpus-not-utf8", "spec-not-utf8",
          "pred-not-utf8", "pred-malformed-str", "pred-malformed-null", "pred-span-huge", "prompt-huge-shape",
          "decode-prompt-missing-slot", "mix-reshaped-slot",
          *(f"{command}-prompt-{case}" for _, case, _ in PROMPT_DAMAGES for command in ("decode", "mix"))],
@@ -314,6 +324,7 @@ def test_bad_input_ends_in_one_coded_line_without_traceback(request, tmp_path, a
     # a separate process, so an escaping exception shows up as a traceback on stderr
     (tmp_path / "empty.bio").write_text("")
     (tmp_path / "all_o.bio").write_text("red O\nfox O\n\nthe O\n")
+    (tmp_path / "diverge.cfg").write_text(TINY_CFG + "total_steps = 3\nweight_decay = 1e308\n")
     (tmp_path / "latin1.txt").write_bytes("caf\u00e9 O\n".encode("latin-1"))
     row = '{"spans": [], "tokens": ["red", "fox"]'
     (tmp_path / "malformed_x.jsonl").write_text(f'{row}}}\n{row}, "malformed": "x"}}\n')

@@ -15,7 +15,6 @@ from plugner.head import (
     feedback_rows,
     greedy_decode,
     indices_from_spans,
-    lc_baseline_logits,
     score_keys,
     spans_from_indices,
     step_distribution,
@@ -506,7 +505,7 @@ def test_lc_logits_uniform_at_zero_weights():
     head = LcHead(8, ("A",), seed=0)
     head.W.value.data[:] = 0.0
     h = Tensor(np.random.default_rng(0).normal(size=(4, 8)))
-    logits = lc_baseline_logits(h, head.W.value, head.b.value)
+    logits = T.linear(h, head.W.value, head.b.value)
     np.testing.assert_array_equal(logits.data, 0.0)
     np.testing.assert_allclose(T.softmax_rows(logits).data, 1.0 / 3.0, atol=1e-15)
 
@@ -515,7 +514,7 @@ def test_lc_logits_match_plain_numpy():
     head = LcHead(6, ("A", "B", "C"), seed=5)
     head.b.value.data[:] = np.linspace(-0.2, 0.2, 7)
     h = np.random.default_rng(9).normal(size=(3, 6))
-    got = lc_baseline_logits(Tensor(h), head.W.value, head.b.value)
+    got = T.linear(Tensor(h), head.W.value, head.b.value)
     np.testing.assert_allclose(got.data, h @ head.W.value.data + head.b.value.data, atol=1e-12)
     np.testing.assert_allclose(
         T.softmax_rows(got).data, np_softmax(h @ head.W.value.data + head.b.value.data), atol=1e-12
@@ -525,4 +524,4 @@ def test_lc_logits_match_plain_numpy():
 def test_lc_logits_reject_width_mismatch():
     head = LcHead(8, ("A",))
     with pytest.raises(ShapeError):
-        lc_baseline_logits(Tensor(np.zeros((2, 5))), head.W.value, head.b.value)
+        T.linear(Tensor(np.zeros((2, 5))), head.W.value, head.b.value)

@@ -97,6 +97,8 @@ def test_concat_refuses_operands_that_disagree_off_the_axis(axis, shapes):
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         T.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+    with pytest.raises(ShapeError, match=r"linear.*\(2, 3\).*\(2, 3\)"):
+        T.linear(t(np.zeros((2, 3))), t(np.zeros((2, 3))), t(np.zeros(3)))
 
 
 def test_gather_rejects_out_of_range_index():
@@ -232,6 +234,37 @@ def attention_probe(p, c):
     return T.reduce_sum(T.mul(T.attention(x, k, v, 2, c["causal"]), t(c["C24"])))
 
 
+def linear_probe(p, c):
+    # the input and the weight both depend on p
+    w = T.matmul(T.transpose(p.value), t(c["C24"]))
+    return T.reduce_sum(T.mul(T.linear(p.value, w, t(c["b4"])), t(c["C24"])))
+
+
+def test_linear_is_bitwise_matmul_then_add():
+    rng = np.random.default_rng(3)
+    x0, w0, b0, g = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=(5, 4))
+
+    def run(project):
+        x, w, b = t(x0), t(w0), t(b0)
+        with record() as tape:
+            out = project(x, w, b)
+            loss = T.reduce_sum(T.mul(out, t(g)))
+        tape.backward(loss)
+        return [out.data, x.grad, w.grad, b.grad], len(tape)
+
+    ours, entries = run(T.linear)
+    reference, _ = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+    assert entries == 3  # linear, mul, reduce_sum
+    for got, want in zip(ours, reference):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bias", [(3,), (1, 4), (5,)])
+def test_linear_refuses_a_bias_that_is_not_one_weight_row(bias):
+    with pytest.raises(ShapeError, match=re.escape(f"{bias}")):
+        T.linear(t(np.zeros((2, 3))), t(np.zeros((3, 4))), t(np.zeros(bias)))
+
+
 @pytest.mark.parametrize("prefix", [0, 3])
 def test_causal_single_query_row_is_bitwise_unmasked(prefix):
     # a cached decode step: one query row sees every key, so the causal rule masks nothing
@@ -262,6 +295,7 @@ def test_causal_attention_refuses_fewer_keys_than_queries():
     "name,builder",
     [
         ("matmul", lambda p, c: T.reduce_sum(T.mul(T.matmul(p.value, t(c["B"])), t(c["C24"])))),
+        ("linear", linear_probe),
         ("add_rowvec", lambda p, c: T.reduce_sum(T.mul(T.add(t(c["A23"]), T.slice_rows(p.value, 0, 1)), t(c["C23"])))),
         ("mul", lambda p, c: T.reduce_sum(T.mul(T.mul(p.value, t(c["A23"])), t(c["C23"])))),
         ("scale", lambda p, c: T.reduce_sum(T.mul(T.scale(p.value, -1.7), t(c["C23"])))),
@@ -287,6 +321,7 @@ def test_primitive_gradients_match_finite_differences(name, builder):
         "A23": rng.normal(size=(2, 3)),
         "g": rng.normal(size=3) + 1.5,
         "b": rng.normal(size=3),
+        "b4": rng.normal(size=4),
         "mask": np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         "causal": True,  # for 2 query rows over 4 keys: row 0 does not see key 3
     }

@@ -11,7 +11,7 @@ from plugner.backbone import Backbone, ModelConfig
 from plugner.data import AnnotatedSentence, Corpus, DomainSpec, EntitySpan, synthetic_corpus, vocab_for_domains
 from plugner.errors import DivergedError, ShapeError
 from plugner.evaluate import evaluate
-from plugner.head import LcHead, NerModel, Verbalizer, decoder_inputs, lc_baseline_logits, step_scores
+from plugner.head import LcHead, NerModel, Verbalizer, decoder_inputs, step_scores
 from plugner.persist import backbone_hash
 from plugner.tensor import Parameter, Tensor, record
 from plugner.training import (
@@ -557,7 +557,7 @@ def test_lc_head_learns_better_than_uniform():
 
     for sent in corpus.sentences:
         h_en = model.backbone.encode(model.vocab.encode(sent.tokens))
-        dist = lc_baseline_logits(Tensor(h_en.data), head.W.value, head.b.value)
+        dist = T.linear(Tensor(h_en.data), head.W.value, head.b.value)
         gold = spans_to_bio(sent.spans, len(sent.tokens))
         for row, tag in zip(dist.data, gold):
             correct += head.tags[int(np.argmax(row))] == tag
